@@ -14,7 +14,6 @@ import sys
 from .errors import (
     GuardExceededError,
     IllegalWordError,
-    NonConvergenceError,
     NonPrimitiveMatrixError,
     UnsupportedFamilyError,
     ZeckmixError,
@@ -406,7 +405,6 @@ _REASONS = [
     (IllegalWordError, "illegal-word"),
     (UnsupportedFamilyError, "unsupported-family"),
     (NonPrimitiveMatrixError, "non-primitive-matrix"),
-    (NonConvergenceError, "non-convergence"),
     (OverflowError, "overflow"),
     (ZeckmixError, "library-error"),
     (ValueError, "invalid-input"),

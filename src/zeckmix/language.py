@@ -16,7 +16,9 @@ until either some node's `occurs` fires or the vector repeats therefore
 decides legality exactly: once the vector revisits a state, the evolution is
 periodic and `occurs` can never fire later.  Straddle matches across the
 concatenation inside a realisation propagate a set of reachable match
-positions left to right, which keeps the state linear in |u| per node.
+positions left to right.  Per node the state is linear in |u| apart from
+`full_spans`, which holds up to |u| end positions for each of |u| + 1 start
+positions and so is quadratic in |u|.
 
 Patterns may contain '?' wildcards (each matching any single letter); the
 same machinery then decides whether any concrete completion of the pattern
@@ -155,8 +157,10 @@ def _profile_state(sub, profiles):
 
 
 def _pattern_search(sub, pattern, stop_letters=None, min_level=0):
-    """Iterate profile levels until `occurs` fires at a stop letter or the
-    profile vector repeats.  Returns (found, level, letter, profiles-per-level).
+    """Iterate profile levels until `occurs` fires at a stop letter at some
+    level >= min_level, or every state of the (eventually periodic) profile
+    vector has been checked at a level >= min_level.
+    Returns (found, level, letter, profiles-per-level).
     """
     if not pattern:
         raise ValueError("pattern must be non-empty")
@@ -164,24 +168,23 @@ def _pattern_search(sub, pattern, stop_letters=None, min_level=0):
         stop_letters = sub.alphabet
     profiles = _leaf_profiles(sub, pattern)
     history = [profiles]
-    seen = {_profile_state(sub, profiles)}
+    first_seen = {_profile_state(sub, profiles): 0}
+    last_level = None   # known once the vector revisits a state
     level = 0
     while True:
         if level >= min_level:
             for a in stop_letters:
                 if profiles[a][0]:
                     return True, level, a, history
+            if last_level is not None and level >= last_level:
+                return False, level, None, history
         nxt = _next_profiles(sub, len(pattern), profiles)
-        state = _profile_state(sub, nxt)
-        if state in seen and level + 1 >= min_level:
-            hit = False
-            for a in stop_letters:
-                if nxt[a][0]:
-                    hit = True
-            if not hit:
-                history.append(nxt)
-                return False, level + 1, None, history
-        seen.add(state)
+        if last_level is None:
+            start = first_seen.setdefault(_profile_state(sub, nxt), level + 1)
+            if start <= level:
+                # levels start..level repeat with period level + 1 - start:
+                # one full period checked at or above min_level settles it
+                last_level = max(level + 1, min_level + level - start)
         profiles = nxt
         history.append(profiles)
         level += 1

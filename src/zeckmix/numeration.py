@@ -14,12 +14,17 @@ greedy expansion is the unique valid one.
 from __future__ import annotations
 
 import itertools
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .errors import DigitRuleError, GuardExceededError
 
 INT64_MAX = 2**63 - 1
+# Guards every append to a recurrence's term cache.  It is taken only when a
+# cache must grow, so one lock for all recurrences costs nothing on warm
+# paths and keeps instances picklable.
+_EXTEND_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -48,17 +53,29 @@ class LinearRecurrence:
         if i < 0:
             raise ValueError("index must be nonnegative")
         terms = self._terms
-        while len(terms) <= i:
-            nxt = 0
-            for j, c in enumerate(self.coefficients):
-                nxt += c * terms[-1 - j]
-            if nxt > INT64_MAX:
-                raise OverflowError(
-                    f"term {len(terms)} of {self.label or 'recurrence'} "
-                    "exceeds the 64-bit guard"
-                )
-            terms.append(nxt)
+        if len(terms) <= i:
+            self._extend(i)
         return terms[i]
+
+    def _extend(self, i: int) -> None:
+        """Grow the shared term cache through index i.
+
+        Appends happen only under the lock, after re-reading the length, so
+        concurrent callers never append a term twice or out of order;
+        readers index only entries already appended, so they need no lock.
+        """
+        terms = self._terms
+        with _EXTEND_LOCK:
+            while len(terms) <= i:
+                nxt = 0
+                for j, c in enumerate(self.coefficients):
+                    nxt += c * terms[-1 - j]
+                if nxt > INT64_MAX:
+                    raise OverflowError(
+                        f"term {len(terms)} of {self.label or 'recurrence'} "
+                        "exceeds the 64-bit guard"
+                    )
+                terms.append(nxt)
 
     def terms_up_to(self, bound: int) -> list[int]:
         """All terms with value <= bound, starting from index 0."""
@@ -222,17 +239,8 @@ def _terms_past(scheme: NumerationScheme, bound: int) -> list[int]:
     """The shared term cache, extended until the last entry exceeds bound."""
     rec = scheme.recurrence
     terms = rec._terms
-    coeffs = rec.coefficients
     while terms[-1] <= bound:
-        nxt = 0
-        for j, c in enumerate(coeffs):
-            nxt += c * terms[-1 - j]
-        if nxt > INT64_MAX:
-            raise OverflowError(
-                f"term {len(terms)} of {rec.label or 'recurrence'} "
-                "exceeds the 64-bit guard"
-            )
-        terms.append(nxt)
+        rec._extend(len(terms))
     return terms
 
 

@@ -10,14 +10,13 @@ counting and membership queries without enumeration.
 
 from __future__ import annotations
 
+import math
 import string
 from dataclasses import dataclass, field
-
-import numpy as np
+from itertools import zip_longest
 
 from .errors import (
     GuardExceededError,
-    NonConvergenceError,
     NonPrimitiveMatrixError,
     StructureError,
 )
@@ -316,39 +315,154 @@ def substitution_matrix(sub: RandomSubstitution) -> list[list[int]]:
     ]
 
 
-def is_primitive(matrix) -> bool:
-    """Some power of the (nonnegative) matrix is strictly positive."""
-    arr = np.asarray(matrix)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+def _integer_rows(matrix) -> list[list[int]]:
+    """The matrix as rows of ints; ValueError unless square, integral and
+    nonnegative."""
+    try:
+        rows = [list(row) for row in matrix]
+    except TypeError:
+        raise ValueError("matrix must be square") from None
+    size = len(rows)
+    if size == 0 or any(len(row) != size for row in rows):
         raise ValueError("matrix must be square")
-    if (arr < 0).any():
+    out = [[int(x) for x in row] for row in rows]
+    if any(x != y for row, orig in zip(out, rows) for x, y in zip(row, orig)):
+        raise ValueError("matrix entries must be integers")
+    if any(x < 0 for row in out for x in row):
         raise ValueError("matrix must be nonnegative")
-    size = arr.shape[0]
-    boolean = arr > 0
-    power = boolean.copy()
-    bound = max(1, (size - 1) ** 2 + 1)
-    for _ in range(bound):
-        if power.all():
-            return True
-        power = (power @ boolean) > 0
-    return bool(power.all())
+    return out
 
 
-def pf_eigenvalue(matrix, tol: float = 1e-12, max_iter: int = 200000) -> float:
-    """Dominant eigenvalue by power iteration to relative tolerance `tol`."""
+def is_primitive(matrix) -> bool:
+    """Some power of the (nonnegative integer) matrix is strictly positive.
+
+    Rows are bitsets.  Squaring until the exponent reaches Wielandt's bound
+    (n-1)^2 + 1 decides it: a primitive matrix is positive from that power
+    on, and no power of an imprimitive one is positive.
+    """
+    rows = _integer_rows(matrix)
+    size = len(rows)
+    full = (1 << size) - 1
+    power = [sum(1 << j for j, x in enumerate(row) if x) for row in rows]
+    exponent = 1
+    while exponent < (size - 1) ** 2 + 1 and any(row != full for row in power):
+        squared = []
+        for row in power:
+            acc = 0
+            while row:
+                low = row & -row
+                acc |= power[low.bit_length() - 1]
+                row ^= low
+            squared.append(acc)
+        power = squared
+        exponent *= 2
+    return all(row == full for row in power)
+
+
+# Exact polynomial helpers.  Polynomials are lists of ints, highest degree
+# first and with a nonzero leading coefficient, as characteristic_polynomial
+# returns them.
+
+
+def _reduce(p: list[int]) -> list[int]:
+    """Divide out the (positive) content; signs are kept."""
+    content = math.gcd(*p)
+    return [c // content for c in p] if content > 1 else p
+
+
+def _remainder(a: list[int], b: list[int]) -> list[int]:
+    """r with c*a = q*b + r for some integer c > 0 and deg r < deg b."""
+    scale, sign = abs(b[0]), (1 if b[0] > 0 else -1)
+    r = a
+    while r and len(r) >= len(b):
+        f = r[0] * sign
+        r = [scale * x - f * y for x, y in zip_longest(r, b, fillvalue=0)][1:]
+        while r and r[0] == 0:
+            r = r[1:]
+        if r:
+            r = _reduce(r)
+    return r
+
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """Greatest common divisor, primitive with a positive leading coefficient."""
+    while b:
+        a, b = b, _remainder(a, b)
+    a = _reduce(a)
+    return a if a[0] > 0 else [-c for c in a]
+
+
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b for a monic b that divides a."""
+    r, q = list(a), []
+    for i in range(len(a) - len(b) + 1):
+        f = r[i]
+        q.append(f)
+        for j, y in enumerate(b):
+            r[i + j] -= f * y
+    return q
+
+
+def _derivative(p: list[int]) -> list[int]:
+    deg = len(p) - 1
+    return [c * (deg - i) for i, c in enumerate(p[:-1])]
+
+
+def _sign_variations(values) -> int:
+    signs = [v > 0 for v in values if v]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+def _value(p: list[int], num: int, den: int) -> int:
+    """p(num/den) * den^deg p, an integer of the same sign for den > 0."""
+    acc, scale = p[0], 1
+    for c in p[1:]:
+        scale *= den
+        acc = acc * num + c * scale
+    return acc
+
+
+def pf_eigenvalue(matrix) -> float:
+    """Perron-Frobenius eigenvalue: the float nearest the exact root.
+
+    The root is the largest real root of the characteristic polynomial, and
+    it lies between the smallest and largest column sums.  Bisection on
+    dyadic rationals lo/2^s < root <= hi/2^s decides each midpoint by a
+    Sturm count of the distinct real roots above it, until both ends round
+    to the same float.  Once the root is the only one above lo, the sign of
+    the square-free part alone decides.  The root is an algebraic integer,
+    so it is never a tie between two floats unless it is an integer, and
+    the power-of-two width of the start interval makes bisection hit an
+    integer root exactly.
+    """
     if not is_primitive(matrix):
         raise NonPrimitiveMatrixError("matrix is not primitive")
-    arr = np.asarray(matrix, dtype=float)
-    vec = np.ones(arr.shape[0])
-    value = 0.0
-    for _ in range(max_iter):
-        nxt = arr @ vec
-        new_value = float(np.max(nxt))
-        vec = nxt / new_value
-        if abs(new_value - value) <= tol * abs(new_value):
-            return new_value
-        value = new_value
-    raise NonConvergenceError("power iteration did not converge")
+    p = characteristic_polynomial(matrix)
+    square_free = _exact_quotient(p, _gcd(p, _derivative(p)))
+    chain = [square_free, _derivative(square_free)]
+    while len(chain[-1]) > 1:
+        chain.append([-c for c in _remainder(chain[-2], chain[-1])])
+    at_infinity = _sign_variations(q[0] for q in chain)
+    col_sums = [sum(col) for col in zip(*_integer_rows(matrix))]
+    lo = min(col_sums) - 1
+    hi = lo + (1 << (max(col_sums) - lo - 1).bit_length())
+    den = 1
+    isolated = False
+    while lo / den != hi / den:
+        lo, hi, den = 2 * lo, 2 * hi, 2 * den
+        mid = (lo + hi) // 2
+        if isolated:
+            above = _value(square_free, mid, den) < 0
+        else:
+            values = [_value(q, mid, den) for q in chain]
+            roots_above = _sign_variations(values) - at_infinity
+            above = roots_above > 0
+            isolated = roots_above == 1
+        if above:
+            lo = mid
+        else:
+            hi = mid
+    return hi / den
 
 
 def characteristic_polynomial(matrix) -> list[int]:
@@ -373,19 +487,56 @@ def characteristic_polynomial(matrix) -> list[int]:
     return coeffs
 
 
-def is_pisot(matrix, tol: float = 1e-9) -> bool:
-    """True when every characteristic root but the dominant one lies inside
-    the unit disk (numeric check, not an algebraic proof).
+def _roots_inside_disk(f: list[int]) -> int:
+    """Roots of f strictly inside the unit disk, with multiplicity, for f
+    coprime to its reciprocal polynomial.
+
+    The Schur-Cohn form C = B^T B - A^T A, with A and B the lower triangular
+    Toeplitz matrices on (a_0, ..., a_{d-1}) and (a_d, ..., a_1), is then
+    nonsingular, and its positive eigenvalues count the roots inside
+    (Marden, Geometry of Polynomials, 1966).  C is symmetric, so its
+    characteristic polynomial is real-rooted and Descartes' rule of signs
+    counts those eigenvalues exactly.
+    """
+    a = f[::-1]
+    deg = len(a) - 1
+    if deg == 0:
+        return 0
+    lower = [a[deg - t] for t in range(deg)]
+    upper = a[:deg]
+    form = [
+        [
+            sum(lower[i - j] * lower[i - k] - upper[i - j] * upper[i - k]
+                for i in range(max(j, k), deg))
+            for k in range(deg)
+        ]
+        for j in range(deg)
+    ]
+    return _sign_variations(characteristic_polynomial(form))
+
+
+def is_pisot(matrix) -> bool:
+    """True when exactly one characteristic root, counted with multiplicity,
+    has modulus >= 1 (the dominant one); an exact decision.
+
+    p = g * h with g = gcd(p, reversed p).  The roots of g lie on the unit
+    circle or come in pairs (z, 1/z), so g alone has at least deg(g) / 2
+    roots of modulus >= 1, and exactly one only when it is linear or a
+    real reciprocal pair x^2 + bx + 1 with |b| > 2.  h is coprime to its
+    reciprocal, and the Schur-Cohn form counts its roots inside the disk.
     """
     if not is_primitive(matrix):
         raise NonPrimitiveMatrixError("matrix is not primitive")
-    coeffs = characteristic_polynomial(matrix)
-    try:
-        roots = np.roots(coeffs)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergenceError("root finding failed to converge") from exc
-    moduli = sorted(abs(z) for z in roots)
-    return all(mod < 1 - tol for mod in moduli[:-1])
+    p = characteristic_polynomial(matrix)
+    reversed_p = p[::-1]
+    while reversed_p[0] == 0:
+        reversed_p = reversed_p[1:]
+    g = _gcd(p, reversed_p)
+    if len(g) > 3 or (len(g) == 3 and not (g[2] == 1 and abs(g[1]) > 2)):
+        return False
+    outside_g = min(len(g) - 1, 1)
+    h = _exact_quotient(p, g)
+    return outside_g + len(h) - 1 - _roots_inside_disk(h) == 1
 
 
 def format_rules(sub: RandomSubstitution) -> str:

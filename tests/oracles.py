@@ -80,3 +80,58 @@ def all_words(alphabet, max_len):
     for length in range(1, max_len + 1):
         for tup in itertools.product(alphabet, repeat=length):
             yield "".join(tup)
+
+
+def occurrence_levels(sub, u, letters, max_level):
+    """hits[k] says u sits inside some level-k inflation word of one of
+    `letters`.  Per letter this tracks the exact set of subwords of length
+    <= |u| level by level, by the same window argument as window_closure."""
+    bound = len(u)
+    current = {a: {a} for a in letters}
+    expand_memo = {}
+    hits = [any(u in ws for ws in current.values())]
+    for _ in range(max_level):
+        nxt = {}
+        for a, windows in current.items():
+            out = set()
+            for v in windows:
+                got = expand_memo.get(v)
+                if got is None:
+                    got = set()
+                    for realisation in apply(sub, v):
+                        got |= short_subwords(realisation, bound)
+                    expand_memo[v] = got
+                out |= got
+            nxt[a] = out
+        current = nxt
+        hits.append(any(u in ws for ws in current.values()))
+    return hits
+
+
+def single_positive_root_decimals(coeffs, lo, hi, places):
+    """The positive root of an integer polynomial (highest degree first)
+    with exactly one positive root, which lies in the integer interval
+    (lo, hi), correctly rounded to `places` decimals, as text.
+
+    Plain sign bisection suffices here because the root is the only sign
+    change on (0, inf): find F = floor(root * 2 * 10^places) over the
+    integers, then round half up.
+    """
+    scale = 2 * 10**places
+    deg = len(coeffs) - 1
+
+    def sign_at(num):
+        # sign of p(num / scale), scaled by the positive scale^deg
+        return sum(c * num**(deg - i) * scale**i for i, c in enumerate(coeffs))
+
+    below = sign_at(lo * scale)
+    a, b = lo * scale, hi * scale
+    while b - a > 1:
+        mid = (a + b) // 2
+        if (sign_at(mid) > 0) == (below > 0):
+            a = mid
+        else:
+            b = mid
+    rounded = (a + 1) // 2
+    whole, frac = divmod(rounded, 10**places)
+    return f"{whole}.{frac:0{places}d}"

@@ -1,7 +1,12 @@
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from oracles import single_positive_root_decimals
 
 from zeckmix.cli import main
 
@@ -55,6 +60,35 @@ def test_subst_matrix_and_pisot():
     assert code == 0
     assert "pf_eigenvalue: 1.618033988750" in out
     assert "pisot: true" in out
+
+
+@pytest.mark.parametrize("k, expected", [
+    (4, "1.927561975483"),
+    (5, "1.965948236645"),
+    (6, "1.983582843424"),
+    (7, "1.991964196605"),
+    (8, "1.996031179735"),
+])
+def test_subst_pisot_kbonacci_correctly_rounded(k, expected):
+    # the root of x^k - x^(k-1) - ... - 1 in (1, 2), rounded to 12 places
+    assert single_positive_root_decimals([1] + [-1] * k, 1, 2, 12) == expected
+    code, out, _ = run_cli(["subst", "pisot", "--family", "kbonacci",
+                            "--k", str(k)])
+    assert code == 0
+    assert f"pf_eigenvalue: {expected}" in out.splitlines()
+    assert "pisot: true" in out
+
+
+def test_cli_import_loads_no_numpy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import zeckmix.cli, sys; assert 'numpy' not in sys.modules"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_custom_rules_file(tmp_path):

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zeckmix.language import (
@@ -217,6 +217,50 @@ def test_pattern_witness_min_level_and_stop_letters():
     assert element[start] == "b"
     dag = build_dag(fib, level)
     assert dag.contains(element, "a", level)
+    # a -> b -> a: the profile vector cycles from level 0 with period 2, so
+    # every min_level must still find the next even level
+    swap = make_substitution({"a": ("b",), "b": ("a",)})
+    for min_level in range(7):
+        hit = pattern_witness(swap, "a", stop_letters=("a",),
+                              min_level=min_level)
+        assert hit is not None and hit[1] == min_level + min_level % 2
+
+
+small_rules = st.sampled_from(["ab", "abc"]).flatmap(
+    lambda alpha: st.fixed_dictionaries({
+        a: st.sets(st.text(alphabet=alpha, min_size=1, max_size=2),
+                   min_size=1, max_size=2)
+        for a in alpha
+    })
+)
+
+
+@given(rule=small_rules, u=st.text(alphabet="abc", min_size=1, max_size=3),
+       stop=st.sets(st.sampled_from("abc"), min_size=1),
+       min_level=st.integers(min_value=0, max_value=5))
+@settings(max_examples=500, deadline=None)
+def test_pattern_witness_min_level_matches_bruteforce(rule, u, stop, min_level):
+    from oracles import occurrence_levels
+
+    sub = make_substitution(rule)
+    stop = tuple(sorted(stop & set(sub.alphabet)))
+    assume(stop and set(u) <= set(sub.alphabet))
+    max_level = min_level + 8
+    hits = occurrence_levels(sub, u, stop, max_level)
+    every = occurrence_levels(sub, u, sub.alphabet, 4)
+    for level in range(5):
+        assert any(every[:level + 1]) == is_legal_bruteforce(sub, u, level)
+    expect = next((lvl for lvl in range(min_level, max_level + 1) if hits[lvl]),
+                  None)
+    got = pattern_witness(sub, u, stop_letters=stop, min_level=min_level)
+    if got is None:
+        assert expect is None
+        return
+    matched, level, letter, element, start = got
+    assert matched == u and letter in stop and level >= min_level
+    assert level == expect or (expect is None and level > max_level)
+    assert build_dag(sub, level).contains(element, letter, level)
+    assert element[start:start + len(u)] == u
 
 
 def test_custom_substitution_legality():

@@ -1,4 +1,8 @@
 import itertools
+import os
+import sys
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -106,6 +110,52 @@ def test_cached_terms_satisfy_recurrence():
             expect = sum(c * rec.term(i - 1 - j)
                          for j, c in enumerate(rec.coefficients))
             assert rec.term(i) == expect
+
+
+def test_term_cache_concurrent_extension():
+    # more threads than cores race to grow the same fresh term caches,
+    # through term() and through the encoder, with thread switches forced
+    # often; a lost or doubled append breaks the recurrence check below
+    makers = (fibonacci_scheme, tribonacci_scheme, lambda: metallic_scheme(3))
+    schemes = [makers[i % 3]() for i in range(300)]
+    n_threads = 2 * (os.cpu_count() or 2) + 2
+    start = threading.Barrier(n_threads, timeout=60)
+    errors = []
+
+    def work(k):
+        try:
+            start.wait()
+            for scheme in schemes:
+                if k % 2:
+                    scheme.term(30)
+                else:
+                    encode_greedy(scheme, 10**15)
+        except Exception as exc:  # reported below, on the main thread
+            errors.append(exc)
+
+    # daemon threads, so that a thread stuck on a corrupted cache cannot keep
+    # the test process alive after the join timeout fails the test
+    threads = [threading.Thread(target=work, args=(k,), daemon=True)
+               for k in range(n_threads)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        deadline = time.monotonic() + 60
+        for t in threads:
+            t.join(timeout=max(0.0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    for scheme in schemes:
+        rec = scheme.recurrence
+        cached = rec._terms
+        assert cached[:rec.order] == list(rec.initial_terms)
+        for i in range(rec.order, len(cached)):
+            assert cached[i] == sum(c * cached[i - 1 - j]
+                                    for j, c in enumerate(rec.coefficients))
 
 
 def test_term_overflow_guard():

@@ -1,8 +1,9 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles import single_positive_root_decimals
 
 from zeckmix.errors import (
     GuardExceededError,
@@ -19,6 +20,7 @@ from zeckmix.substitution import (
     apply,
     apply_to_set,
     build_dag,
+    characteristic_polynomial,
     format_rules,
     inflation_words,
     is_pisot,
@@ -230,6 +232,73 @@ def test_is_pisot():
     assert is_pisot(substitution_matrix(random_metallic(2)))
     # x^2 - x - 3 has roots ~2.30 and ~-1.30: dominant but not Pisot
     assert not is_pisot([[1, 3], [1, 0]])
+
+
+def test_spectral_edge_cases():
+    # 1x1: the single root 1 is the dominant one
+    assert is_primitive([[1]]) is True
+    assert not is_primitive([[0]])
+    assert pf_eigenvalue([[1]]) == 1.0
+    assert is_pisot([[1]])
+    # periodic: irreducible but never positive
+    with pytest.raises(NonPrimitiveMatrixError):
+        pf_eigenvalue([[0, 1], [1, 0]])
+    with pytest.raises(NonPrimitiveMatrixError):
+        is_pisot([[0, 1], [1, 0]])
+    # x^2 - 3x + 1 equals its own reciprocal: the real pair (z, 1/z) off
+    # the unit circle is still Pisot
+    assert is_pisot([[2, 1], [1, 1]])
+    assert pf_eigenvalue([[2, 1], [1, 1]]) == (3 + math.sqrt(5)) / 2
+    # x^2 - 2x - 3 = (x - 3)(x + 1): an integer dominant root and a root on
+    # the unit circle
+    assert pf_eigenvalue([[1, 2], [2, 1]]) == 3.0
+    assert not is_pisot([[1, 2], [2, 1]])
+    # (x + 1)(x^2 - 4x + 1): a unit root beside a reciprocal pair
+    assert not is_pisot([[1, 2, 1], [2, 1, 1], [1, 1, 1]])
+    # the largest built-in matrix, k-bonacci at k = 26
+    big = substitution_matrix(random_kbonacci(26))
+    assert is_pisot(big)
+    assert f"{pf_eigenvalue(big):.12f}" == single_positive_root_decimals(
+        [1] + [-1] * 26, 1, 2, 12)
+
+
+@pytest.mark.parametrize("bad", [
+    [[1, 2]], [1, 2], [], [[1], [1, 2]], [[1, -1], [1, 1]], [[0.5, 1], [1, 0]],
+])
+def test_spectral_rejects_bad_input(bad):
+    for fn in (is_primitive, pf_eigenvalue, is_pisot):
+        with pytest.raises(ValueError):
+            fn(bad)
+
+
+small_matrices = st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n),
+        min_size=n, max_size=n,
+    )
+)
+
+
+@given(matrix=small_matrices)
+@settings(max_examples=300, deadline=None)
+def test_spectral_decisions_match_numpy(matrix):
+    np = pytest.importorskip("numpy")
+    size = len(matrix)
+    boolean = np.array(matrix) > 0
+    power = boolean
+    for _ in range((size - 1) ** 2):
+        power = (power.astype(int) @ boolean.astype(int)) > 0
+    assert is_primitive(matrix) == bool(power.all())
+    if not power.all():
+        return
+    coeffs = characteristic_polynomial(matrix)
+    assert np.allclose(np.poly(np.array(matrix, dtype=float)), coeffs)
+    roots = np.roots(coeffs)
+    moduli = np.abs(roots)
+    assume(np.all(np.abs(moduli - 1) > 1e-6))
+    assert is_pisot(matrix) == (int(np.sum(moduli >= 1)) == 1)
+    dominant = max(z.real for z in roots if abs(z.imag) < 1e-6)
+    assert pf_eigenvalue(matrix) == pytest.approx(dominant, rel=1e-9)
 
 
 small_words = st.text(alphabet="ab", min_size=1, max_size=4)
