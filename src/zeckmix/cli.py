@@ -164,8 +164,9 @@ def _cmd_seq_complete(args) -> int:
         rec = LinearRecurrence(len(coeffs), coeffs, init, "custom")
         label = f"custom coeffs={args.coeffs} init={args.init}"
     else:
-        rec = _scheme_from_args(args).recurrence
-        label = _scheme_from_args(args).descriptor()
+        scheme = _scheme_from_args(args)
+        rec = scheme.recurrence
+        label = scheme.descriptor()
     _emit([
         f"sequence: {label}",
         f"horizon: {args.horizon}",

@@ -124,6 +124,12 @@ class NumerationScheme:
     `base_index` is the smallest term index a digit may sit on (1 for
     Fibonacci and the metallic family, k-1 for the k-term families, so 2 for
     tribonacci).  Digits below the base are implicitly zero.
+
+    The terms from the base index on must increase strictly.  Checking the
+    window t_b < t_{b+1} < ... < t_{b+order} is enough: every coefficient is
+    at least 1, so past the window each term exceeds its predecessor by at
+    least a positive earlier term (for order 1 the window forces c1 >= 2).
+    A term past the 64-bit guard ends the check.
     """
 
     recurrence: LinearRecurrence
@@ -137,8 +143,16 @@ class NumerationScheme:
             raise ValueError("scheme coefficients must all be >= 1")
         if any(a < b for a, b in zip(coeffs, coeffs[1:])):
             raise ValueError("scheme coefficients must be nonincreasing")
-        if self.recurrence.term(self.base_index) != 1:
+        rec, base = self.recurrence, self.base_index
+        if rec.term(base) != 1:
             raise ValueError("term at base_index must equal 1")
+        try:
+            rec.term(base + rec.order)
+        except OverflowError:
+            pass
+        window = rec._terms[base:base + rec.order + 1]
+        if any(a >= b for a, b in zip(window, window[1:])):
+            raise ValueError("terms must increase strictly above the base index")
 
     @property
     def max_digit(self) -> int:
@@ -185,17 +199,10 @@ def metallic_pisa_scheme(k: int, m: int) -> NumerationScheme:
 
 def custom_scheme(recurrence: LinearRecurrence, base_index: int) -> NumerationScheme:
     """Wrap a user recurrence; coefficients must be nonincreasing and >= 1."""
-    scheme = NumerationScheme(recurrence, "custom", (), base_index)
-    for i in range(base_index, base_index + 16):
-        try:
-            if scheme.term(i + 1) <= scheme.term(i):
-                raise ValueError("terms must increase strictly above the base index")
-        except OverflowError:
-            break
-    return scheme
+    return NumerationScheme(recurrence, "custom", (), base_index)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DigitString:
     """Digits of a natural number, most-significant first; empty means 0."""
 
@@ -216,6 +223,20 @@ class DigitString:
 
     def __str__(self) -> str:
         return self.to_text()
+
+
+_new_object = object.__new__
+_set_digits = DigitString.digits.__set__
+_set_scheme = DigitString.scheme.__set__
+
+
+def _digit_string(digits: tuple[int, ...], scheme: NumerationScheme) -> DigitString:
+    """DigitString(digits, scheme) through the slot setters, skipping the
+    frozen __init__'s object.__setattr__ calls on the encoding hot path."""
+    out = _new_object(DigitString)
+    _set_digits(out, digits)
+    _set_scheme(out, scheme)
+    return out
 
 
 def digit_string_from_text(scheme: NumerationScheme, text: str) -> DigitString:
@@ -245,27 +266,25 @@ def _terms_past(scheme: NumerationScheme, bound: int) -> list[int]:
 
 
 def encode_greedy(scheme: NumerationScheme, n: int) -> DigitString:
-    """Greedy expansion: repeatedly subtract the largest term <= remainder."""
+    """Greedy expansion: repeatedly subtract the largest term <= remainder.
+
+    Terms increase strictly from the base index, so bisection finds each
+    next nonzero digit directly and zero digits cost nothing.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
-        return DigitString((), scheme)
+        return _digit_string((), scheme)
     base = scheme.base_index
     terms = _terms_past(scheme, n)
-    top = bisect_right(terms, n, lo=base) - 1
+    top = bisect_right(terms, n, base) - 1
     digits = [0] * (top - base + 1)
-    rem = n
     pos = top
-    while rem:
-        t = terms[pos]
-        if t <= rem:
-            count = 0
-            while rem >= t:
-                count += 1
-                rem -= t
-            digits[top - pos] = count
-        pos -= 1
-    return DigitString(tuple(digits), scheme)
+    while True:
+        digits[top - pos], n = divmod(n, terms[pos])
+        if not n:
+            return _digit_string(tuple(digits), scheme)
+        pos = bisect_right(terms, n, base, pos) - 1
 
 
 def decode(d: DigitString) -> int:
@@ -273,7 +292,7 @@ def decode(d: DigitString) -> int:
     digits = d.digits
     if not digits:
         return 0
-    if any(x < 0 for x in digits):
+    if min(digits) < 0:
         raise ValueError("digits must be nonnegative")
     scheme = d.scheme
     pos = scheme.base_index + len(digits) - 1

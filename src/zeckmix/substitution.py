@@ -130,6 +130,29 @@ def apply(sub: RandomSubstitution, w: str, guard: int = DEFAULT_SET_GUARD) -> se
     return out
 
 
+def in_image(sub: RandomSubstitution, word: str, image: str) -> bool:
+    """Whether `image` is in apply(sub, word), decided without enumeration.
+
+    Letter images are matched left to right against `image`, keeping the set
+    of end positions some choice of images for the letters read so far can
+    reach.  The set never holds more than len(image) + 1 positions, so the
+    check is exact for rules whose images differ in length; for
+    constant-length rules it holds at most one position, so the check is
+    linear.  Every letter of `word` is looked up, so an unknown letter raises
+    KeyError as in apply.
+    """
+    if not word:
+        raise ValueError("word must be non-empty")
+    ends = {0}
+    for letter in word:
+        images = sub.rule[letter]
+        ends = {
+            end + len(img)
+            for end in ends for img in images if image.startswith(img, end)
+        }
+    return len(image) in ends
+
+
 def apply_to_set(sub, words, guard: int = DEFAULT_SET_GUARD) -> set[str]:
     out: set[str] = set()
     for w in words:

@@ -1,5 +1,6 @@
 import itertools
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -12,6 +13,7 @@ from zeckmix.errors import DigitRuleError, GuardExceededError
 from zeckmix.numeration import (
     DigitString,
     LinearRecurrence,
+    NumerationScheme,
     append_digit,
     custom_scheme,
     decode,
@@ -390,6 +392,56 @@ def test_custom_scheme_base10():
     base10 = custom_scheme(LinearRecurrence(1, (10,), (1,), "powers-of-10"), 0)
     assert encode_greedy(base10, 2026).to_text() == "2026"
     assert decode(digit_string_from_text(base10, "907")) == 907
+
+
+@pytest.mark.parametrize("rec,base", [
+    (LinearRecurrence(1, (1,), (1,)), 0),          # 1, 1, 1, ...
+    (LinearRecurrence(2, (1, 1), (0, 1)), 1),      # t1 = t2 = 1
+    (LinearRecurrence(2, (1, 1), (-1, 1)), 1),     # t2 = 0
+    (LinearRecurrence(3, (1, 1, 1), (2, -1, 1)), 2),  # t3 = t4 = 2
+])
+def test_scheme_rejects_terms_not_increasing_from_base(rec, base):
+    with pytest.raises(ValueError, match="increase strictly"):
+        NumerationScheme(rec, "x", (), base)
+    with pytest.raises(ValueError, match="increase strictly"):
+        custom_scheme(rec, base)
+
+
+def test_scheme_window_check_edges():
+    # the same recurrence is fine one index higher: 1, 2, 3, 5, ...
+    shifted = NumerationScheme(LinearRecurrence(2, (1, 1), (0, 1)), "x", (), 2)
+    fib = fibonacci_scheme()
+    for n in range(200):
+        assert encode_greedy(shifted, n).digits == encode_greedy(fib, n).digits
+    # a term past the 64-bit guard ends the check instead of failing it
+    huge = NumerationScheme(LinearRecurrence(1, (2**63,), (1,)), "x", (), 0)
+    assert huge.term(0) == 1
+
+
+def test_nonincreasing_scheme_fails_instead_of_hanging():
+    # encode_greedy once searched forever for a term above n on 1, 1, 1, ...;
+    # the child process turns a hang into a test failure
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    code = (
+        "from zeckmix.numeration import LinearRecurrence, NumerationScheme, "
+        "encode_greedy\n"
+        "try:\n"
+        "    encode_greedy(NumerationScheme(LinearRecurrence(1, (1,), (1,)), "
+        "'x', (), 0), 2)\n"
+        "except ValueError:\n"
+        "    print('ValueError')\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=30)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "ValueError"
+
+
+def test_decode_rejects_negative_digits():
+    with pytest.raises(ValueError, match="nonnegative"):
+        decode(DigitString((1, -1, 0), fibonacci_scheme()))
 
 
 def test_adjudicated_1404_expansion():

@@ -1,12 +1,15 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
+from zeckmix import semimixing
 from zeckmix.errors import IllegalWordError, UnsupportedFamilyError
 from zeckmix.language import is_legal, language_of_length
 from zeckmix.numeration import DigitString, decode, encode_greedy
 from zeckmix.semimixing import (
     Family,
+    _is_inflation_chain,
     certificate_report,
     certify,
     check_empirical,
@@ -195,6 +198,82 @@ def test_derivation_steps_replay_in_dag():
     for step in steps:
         dag = build_dag(trib, step.level)
         assert dag.contains(step.element, "a", step.level)
+
+
+CRITERION_6_GRID = [(FIB, 30), (TRIB, 20), (MET2, 20)]
+
+
+def _first_ten_words(sub):
+    words = []
+    for length in (1, 2, 3, 4):
+        words.extend(language_of_length(sub, length))
+        if len(words) >= 10:
+            break
+    return words[:10]
+
+
+@pytest.mark.parametrize("family,span", CRITERION_6_GRID)
+def test_inflation_chain_agrees_with_dag(family, span):
+    # every final element the per-step image chain accepts is a level-L
+    # inflation word of a by independent DAG membership
+    sub = family.substitution()
+    for w in _first_ten_words(sub):
+        cert = certify(sub, family, w)
+        base_alternatives = {lead: e0 for lead, (_, _, e0) in cert.base_table.items()}
+        for n in range(cert.threshold, cert.threshold + span + 1):
+            _, _, steps = derive_witness(cert, n)
+            assert _is_inflation_chain(sub, steps, base_alternatives)
+            final = steps[-1]
+            assert build_dag(sub, final.level).contains(final.element, "a", final.level)
+
+
+def test_deep_verification_catches_broken_final_element(monkeypatch):
+    fib = random_fibonacci()
+    cert = certify(fib, FIB, "ab")
+    ns = range(cert.threshold, cert.threshold + 12)
+    bad_n = cert.threshold + 7
+    real = semimixing.derive_witness
+
+    def broken_tail(c, n):
+        u, s, steps = real(c, n)
+        if n == bad_n:
+            last = steps[-1]
+            keep = len(last.word) + len(last.seed)
+            tail = last.element[keep:]
+            assert tail, "the element needs a tail to break"
+            element = last.element[:keep] + tail[:-1]
+            assert element.startswith(last.word + last.seed)
+            assert not build_dag(fib, last.level).contains(element, "a", last.level)
+            steps = steps[:-1] + [replace(last, element=element)]
+        return u, s, steps
+
+    monkeypatch.setattr(semimixing, "derive_witness", broken_tail)
+    outcome = verify_certificate(cert, ns, deep=True)
+    assert not outcome.ok
+    assert outcome.counterexample == (bad_n, "final element is not an inflation word of a")
+    assert outcome.checked == bad_n - cert.threshold
+    shallow = verify_certificate(cert, ns, deep=False)
+    assert shallow.ok and shallow.checked == len(ns)
+
+
+def test_deep_verification_anchors_the_chain_at_level_two(monkeypatch):
+    # every link is still an image one level up, but the chain claims to
+    # start at level 3, where no base element was checked
+    fib = random_fibonacci()
+    cert = certify(fib, FIB, "a")
+    real = semimixing.derive_witness
+
+    def shifted_levels(c, n):
+        u, s, steps = real(c, n)
+        return u, s, [replace(steps[0], level=3)] + [
+            replace(step, level=step.level + 1) for step in steps[1:]
+        ]
+
+    monkeypatch.setattr(semimixing, "derive_witness", shifted_levels)
+    outcome = verify_certificate(cert, [cert.threshold], deep=True)
+    assert outcome.counterexample == (
+        cert.threshold, "final element is not an inflation word of a")
+    assert verify_certificate(cert, [cert.threshold], deep=False).ok
 
 
 def test_empirical_threshold_below_certificate_threshold():

@@ -22,6 +22,7 @@ from zeckmix.substitution import (
     build_dag,
     characteristic_polynomial,
     format_rules,
+    in_image,
     inflation_words,
     is_pisot,
     is_primitive,
@@ -312,6 +313,55 @@ def test_apply_distributes_over_union(ws):
     for w in ws:
         split |= apply(sub, w)
     assert apply_to_set(sub, ws) == split
+
+
+def test_in_image_examples():
+    fib = random_fibonacci()
+    assert in_image(fib, "ab", "aba") and in_image(fib, "ab", "baa")
+    assert not in_image(fib, "ab", "aab") and not in_image(fib, "ab", "ab")
+    # images of several lengths: "aaa" splits as a|aa and as aa|a
+    sub = make_substitution({"a": ("a", "aa"), "b": ("ab",)})
+    assert not sub.uniform_length
+    assert {w for w in ("aa", "aaa", "aaaa", "aaaaa") if in_image(sub, "aa", w)} \
+        == {"aa", "aaa", "aaaa"}
+    assert in_image(sub, "aba", "aabaa") and not in_image(sub, "aba", "abab")
+    with pytest.raises(ValueError):
+        in_image(fib, "", "")
+    with pytest.raises(KeyError):
+        in_image(fib, "ax", "ab")
+
+
+mixed_length_rules = st.sampled_from(["ab", "abc"]).flatmap(
+    lambda alpha: st.fixed_dictionaries({
+        a: st.sets(st.text(alphabet=alpha, min_size=1, max_size=3),
+                   min_size=1, max_size=3)
+        for a in alpha
+    })
+)
+
+
+@given(rule=mixed_length_rules, word=st.text(alphabet="abc", min_size=1, max_size=4),
+       data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_in_image_matches_apply(rule, word, data):
+    sub = make_substitution(rule)
+    assume(set(word) <= set(sub.alphabet))
+    images = apply(sub, word)
+    member = data.draw(st.sampled_from(sorted(images)), label="member")
+    assert in_image(sub, word, member)
+    # near misses: one letter inserted, deleted or replaced, or two swapped
+    kind = data.draw(st.sampled_from(["insert", "delete", "replace", "swap"]))
+    i = data.draw(st.integers(0, len(member)), label="position")
+    letter = data.draw(st.sampled_from("abc"), label="letter")
+    if kind == "insert":
+        near = member[:i] + letter + member[i:]
+    elif kind == "delete":
+        near = member[:i] + member[i + 1:]
+    elif kind == "replace":
+        near = member[:i] + letter + member[i + 1:]
+    else:
+        near = member[:i] + member[i + 1:i + 2] + member[i:i + 1] + member[i + 2:]
+    assert in_image(sub, word, near) == (near in images)
 
 
 def test_rules_text_round_trip():
