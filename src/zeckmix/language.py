@@ -8,7 +8,8 @@ match profile:
   * occurs           -- u sits inside some element of the node
   * suffix_prefixes  -- lengths t with u[:t] a suffix of some element
   * prefix_suffixes  -- positions p with u[p:] a prefix of some element
-  * full_spans       -- slices u[i:j] equal to some full element
+  * full_spans       -- (L, starts) per element length L <= |u|: the start
+                        positions i with u[i:i+L] equal to a full element
 
 Profiles at level n+1 are a function of the profiles at level n alone, so
 the per-level profile vector walks a finite state space.  Iterating levels
@@ -16,9 +17,10 @@ until either some node's `occurs` fires or the vector repeats therefore
 decides legality exactly: once the vector revisits a state, the evolution is
 periodic and `occurs` can never fire later.  Straddle matches across the
 concatenation inside a realisation propagate a set of reachable match
-positions left to right.  Per node the state is linear in |u| apart from
-`full_spans`, which holds up to |u| end positions for each of |u| + 1 start
-positions and so is quadratic in |u|.
+positions left to right.  Every field is a bitset over positions of u, and
+`full_spans` holds one start bitset per distinct element length of the
+node, so composing a child costs a shift and an AND per length.  A
+constant-length rule has one length per node, so its state is linear in |u|.
 
 Patterns may contain '?' wildcards (each matching any single letter); the
 same machinery then decides whether any concrete completion of the pattern
@@ -63,92 +65,85 @@ def _leaf_profiles(sub, pattern):
     size = len(pattern)
     out = {}
     for x in sub.alphabet:
-        match_positions = [
-            i for i, p in enumerate(pattern) if p == WILDCARD or p == x
-        ]
-        occurs = size == 1 and bool(match_positions)
-        sp = 1 << 1 if size >= 2 and 0 in match_positions else 0
-        ps = 1 << size
-        if match_positions and match_positions[-1] == size - 1:
-            ps |= 1 << (size - 1)
-        spans = [0] * (size + 1)
-        for i in match_positions:
-            spans[i] = 1 << (i + 1)
-        out[x] = (occurs, sp, ps, tuple(spans))
+        starts = 0
+        for i, p in enumerate(pattern):
+            if p == WILDCARD or p == x:
+                starts |= 1 << i
+        occurs = size == 1 and bool(starts)
+        sp = 1 << 1 if size >= 2 and starts & 1 else 0
+        ps = 1 << size | (starts & 1 << (size - 1))
+        out[x] = (occurs, sp, ps, ((1, starts),) if starts else ())
     return out
 
 
 def _compose_alternative(pattern_len, image, prev):
-    """Profile of one realisation (a concatenation of level-(n-1) nodes)."""
+    """Profile of one realisation (a concatenation of level-(n-1) nodes).
+
+    Its full spans come back as a dict from element length to start bitset.
+    """
     size = pattern_len
     full_bit = 1 << size
     sp_mask = (1 << size) - 2          # bits 1 .. size-1
     occurs = False
 
     # forward reachable-progress pass: bit q says the last q characters of
-    # the concatenation so far equal pattern[:q]
+    # the concatenation so far equal pattern[:q]; a child element of length
+    # L starting at q moves progress q to q + L
     reach = 1
     for c in image:
         occ_c, sp_c, ps_c, spans_c = prev[c]
         if occ_c or (reach & ps_c):
             occurs = True
         cont = 0
-        m = reach
-        while m:
-            low = m & -m
-            cont |= spans_c[low.bit_length() - 1]
-            m ^= low
+        for length, starts in spans_c:
+            cont |= (reach & starts) << length
         if cont & full_bit:
             occurs = True
         reach = (cont & ~full_bit) | 1 | sp_c
     sp = reach & sp_mask
 
     # backward pass: bit p says pattern[p:] is a prefix of the remaining
-    # concatenation
+    # concatenation; a child element of length L starting at p extends
+    # p + L to p
     back = full_bit
     for c in reversed(image):
-        ps_c, spans_c = prev[c][2], prev[c][3]
+        _, _, ps_c, spans_c = prev[c]
         pre = 0
-        for i in range(size + 1):
-            if spans_c[i] & back:
-                pre |= 1 << i
+        for length, starts in spans_c:
+            pre |= starts & (back >> length)
         back = ps_c | pre
     ps = back
 
-    # full-span composition: pattern[i:j] equal to a whole concatenation
-    spans = list(prev[image[0]][3])
+    # full-span composition: an element of length L1 starting at i followed
+    # by one of length L2 starting at i + L1 spans pattern[i:i+L1+L2]
+    spans = dict(prev[image[0]][3])
     for c in image[1:]:
-        nxt_spans = prev[c][3]
-        new = [0] * (size + 1)
-        alive = False
-        for i in range(size + 1):
-            m = spans[i]
-            acc = 0
-            while m:
-                low = m & -m
-                acc |= nxt_spans[low.bit_length() - 1]
-                m ^= low
-            new[i] = acc
-            alive = alive or acc
-        spans = new
-        if not alive:
+        if not spans:
             break
-    return occurs, sp, ps, tuple(spans)
+        nxt_spans = prev[c][3]
+        new = {}
+        for l1, s1 in spans.items():
+            for l2, s2 in nxt_spans:
+                got = s1 & (s2 >> l1)
+                if got:
+                    new[l1 + l2] = new.get(l1 + l2, 0) | got
+        spans = new
+    return occurs, sp, ps, spans
 
 
 def _next_profiles(sub, pattern_len, prev):
     out = {}
     for a in sub.alphabet:
         occurs, sp, ps = False, 0, 0
-        spans = [0] * (pattern_len + 1)
+        spans = {}
         for image in sub.rule[a]:
             o, s, p, f = _compose_alternative(pattern_len, image, prev)
             occurs = occurs or o
             sp |= s
             ps |= p
-            for i in range(pattern_len + 1):
-                spans[i] |= f[i]
-        out[a] = (occurs, sp, ps, tuple(spans))
+            for length, starts in f.items():
+                spans[length] = spans.get(length, 0) | starts
+        out[a] = (occurs, sp, ps, tuple(sorted(spans.items())))
     return out
 
 
@@ -197,6 +192,15 @@ def _pattern_search(sub, pattern, stop_letters=None, min_level=0):
 # recorded profile fact, by replaying the same transitions
 
 
+def _ends(spans, q):
+    """Bitset of the end positions j with pattern[q:j] a full element."""
+    out = 0
+    for length, starts in spans:
+        if starts >> q & 1:
+            out |= 1 << (q + length)
+    return out
+
+
 class _Extractor:
     def __init__(self, sub, pattern, history):
         self.sub = sub
@@ -241,8 +245,7 @@ class _Extractor:
                 return [] if q == j else None
             if (idx, q) in dead:
                 return None
-            spans = prev[image[idx]][3]
-            m = spans[q]
+            m = _ends(prev[image[idx]][3], q)
             while m:
                 low = m & -m
                 end = low.bit_length() - 1
@@ -282,7 +285,7 @@ class _Extractor:
                 m ^= low
                 cur.setdefault(tt, ("restart",))
             for q in steps[idx]:
-                m = spans_c[q]
+                m = _ends(spans_c, q)
                 while m:
                     low = m & -m
                     end = low.bit_length() - 1
@@ -354,7 +357,7 @@ class _Extractor:
             if q <= size - 1 and (ps_c >> q) & 1:
                 rest = [("spell", image[k], None) for k in range(idx + 1, len(image))]
                 return [("head", c, q)] + rest
-            m = spans_c[q]
+            m = _ends(spans_c, q)
             while m:
                 low = m & -m
                 end = low.bit_length() - 1
@@ -388,32 +391,20 @@ class _Extractor:
         raise AssertionError("no realisation for recorded occurrence")
 
     def _straddle(self, image, prev, level):
-        steps = [dict() for _ in range(len(image) + 1)]
-        steps[0][0] = ("init",)
+        """First match completing inside child idx, scanning children left
+        to right: by a prefix of the child (progress q in its ps), else by
+        the child spanning the rest of the pattern exactly."""
+        steps = self._reach_steps(image, prev)
         for idx, c in enumerate(image):
-            sp_c, ps_c, spans_c = prev[c][1], prev[c][2], prev[c][3]
+            ps_c, spans_c = prev[c][2], prev[c][3]
             for q in steps[idx]:
-                if q <= self.size - 1 and (ps_c >> q) & 1:
+                if q < self.size and (ps_c >> q) & 1:
                     return self._assemble_straddle(image, steps, idx, q, level)
-            cur = steps[idx + 1]
-            cur[0] = ("skip",)
-            m = sp_c
-            while m:
-                low = m & -m
-                tt = low.bit_length() - 1
-                m ^= low
-                cur.setdefault(tt, ("restart",))
             for q in steps[idx]:
-                m = spans_c[q]
-                while m:
-                    low = m & -m
-                    end = low.bit_length() - 1
-                    m ^= low
-                    if end == self.size:
-                        return self._assemble_straddle(
-                            image, steps, idx, q, level, final_exact=end
-                        )
-                    cur.setdefault(end, ("cont", q))
+                if _ends(spans_c, q) >> self.size & 1:
+                    return self._assemble_straddle(
+                        image, steps, idx, q, level, final_exact=self.size
+                    )
         return None
 
     def _assemble_straddle(self, image, steps, idx, q, level, final_exact=None):

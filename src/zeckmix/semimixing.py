@@ -420,11 +420,15 @@ def _expand(images: dict[str, str], word: str) -> str:
 def derive_witness(cert: Certificate, n: int) -> tuple[str, str, list[DerivationStep]]:
     """Replay the digit-driven construction for gap length n (n >= threshold),
     using only the certificate's recorded choices."""
+    return _derive_witness(cert, n, cert.family.scheme())
+
+
+def _derive_witness(cert, n, scheme):
+    """derive_witness with the family's numeration scheme supplied."""
     if n < cert.threshold:
         raise ValueError(f"n must be at least the threshold {cert.threshold}")
     if n > _WITNESS_LENGTH_GUARD:
         raise GuardExceededError("witness length exceeds the work guard")
-    scheme = cert.family.scheme()
     value = n - len(cert.y)
     digits = encode_greedy(scheme, value).digits
     lead = digits[0]
@@ -532,7 +536,7 @@ def verify_certificate(cert: Certificate, ns, deep: bool = True) -> Verification
 
     for n in ns:
         try:
-            u, s, steps = derive_witness(cert, n)
+            u, s, steps = _derive_witness(cert, n, scheme)
         except (KeyError, ValueError) as exc:
             return fail(n, f"derivation failed: {exc}")
         if len(u) != n:

@@ -13,7 +13,8 @@ ranges where both are feasible.
 
 import itertools
 
-from zeckmix.substitution import apply
+from zeckmix.errors import GuardExceededError
+from zeckmix.substitution import apply, apply_to_set
 
 
 def short_subwords(word, bound):
@@ -106,6 +107,41 @@ def occurrence_levels(sub, u, letters, max_level):
         current = nxt
         hits.append(any(u in ws for ws in current.values()))
     return hits
+
+
+def _fits(pattern, offset, word):
+    """pattern[offset:offset+len(word)] accepts word, '?' accepting any letter."""
+    return offset + len(word) <= len(pattern) and all(
+        p in ("?", c) for p, c in zip(pattern[offset:], word))
+
+
+def enumerated_profile(sub, pattern, letter, level, guard=2000):
+    """The match profile of node (letter, level), read off its element set:
+    (occurs, suffix-prefix bits, prefix-suffix bits, ((length, starts), ...))
+    with one sorted entry per element length that matches somewhere.
+    Raises GuardExceededError once the element set holds more than `guard`
+    characters."""
+    elements = {letter}
+    for _ in range(level):
+        elements = apply_to_set(sub, elements, guard)
+        if sum(map(len, elements)) > guard:
+            raise GuardExceededError(f"element set exceeds {guard} characters")
+    size = len(pattern)
+    occurs = any(_fits(pattern, 0, e[i:i + size])
+                 for e in elements for i in range(len(e) - size + 1))
+    sp = ps = 0
+    spans = {}
+    for e in elements:
+        for t in range(1, min(size - 1, len(e)) + 1):
+            if _fits(pattern, 0, e[-t:]):
+                sp |= 1 << t
+        for p in range(size + 1):
+            if size - p <= len(e) and _fits(pattern, p, e[:size - p]):
+                ps |= 1 << p
+        for i in range(size - len(e) + 1):
+            if _fits(pattern, i, e):
+                spans[len(e)] = spans.get(len(e), 0) | 1 << i
+    return occurs, sp, ps, tuple(sorted(spans.items()))
 
 
 def single_positive_root_decimals(coeffs, lo, hi, places):

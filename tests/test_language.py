@@ -4,13 +4,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from zeckmix.errors import GuardExceededError
 from zeckmix.language import (
+    _pattern_search,
     is_legal,
     is_legal_bruteforce,
     is_subword,
     language_of_length,
     pattern_witness,
 )
+from zeckmix.semimixing import check_empirical, make_seed_set
 from zeckmix.substitution import (
     build_dag,
     inflation_words,
@@ -274,6 +277,36 @@ def test_custom_substitution_legality():
     assert not is_legal(pd, "bb").legal
 
 
+mixed_rules = st.sampled_from(["ab", "abc"]).flatmap(
+    lambda alpha: st.fixed_dictionaries({
+        a: st.sets(st.text(alphabet=alpha, min_size=1, max_size=3),
+                   min_size=1, max_size=3)
+        for a in alpha
+    })
+)
+
+
+@given(rule=mixed_rules, data=st.data(),
+       min_level=st.integers(min_value=0, max_value=5))
+@settings(max_examples=300, deadline=None)
+def test_profiles_match_enumeration(rule, data, min_level):
+    # every level the search records, against the element sets themselves;
+    # min_level only makes the recorded history longer
+    from oracles import enumerated_profile
+
+    sub = make_substitution(rule)
+    pattern = data.draw(st.text(alphabet="".join(sub.alphabet) + "?",
+                                min_size=1, max_size=6))
+    _, _, _, history = _pattern_search(sub, pattern, min_level=min_level)
+    for level, profiles in enumerate(history):
+        for letter in sub.alphabet:
+            try:
+                expect = enumerated_profile(sub, pattern, letter, level)
+            except GuardExceededError:
+                return
+            assert profiles[letter] == expect, (pattern, letter, level)
+
+
 @given(st.text(alphabet="ab", min_size=1, max_size=7))
 @settings(max_examples=80, deadline=None)
 def test_random_words_dp_equals_bruteforce(u):
@@ -308,3 +341,66 @@ def test_random_pattern_witnesses_replay(pattern):
     assert element[start:start + len(pattern)] == matched
     assert is_legal(fib, matched, want_witness=False).legal
     assert build_dag(fib, level).contains(element, letter, level)
+
+
+def _witness_table_text(source, horizon, us):
+    lines = ["# zeckmix witness-table v1", f"source: {source}",
+             f"horizon: {horizon}", "seeds: ab ba", "threshold_on_horizon: 0"]
+    lines += [f"n={n} u={u} s=ab verified=yes" for n, u in enumerate(us)]
+    return "\n".join(lines)
+
+
+def test_witnesses_pinned():
+    # exact outputs of the profile engine and the witness extractor, pinned
+    # so that a change of the profile representation cannot move them
+    fib = random_fibonacci()
+    custom = make_substitution(
+        {"a": ("ab", "ba"), "b": ("ac", "ca"), "c": ("a", "aa")})
+    seeds = make_seed_set(fib, ("ab", "ba"))
+    fib_us = ["", "a", "ba", "aba", "aaba", "baaba", "abaaba", "babaaba",
+              "ababaaba", "aababaaba", "baababaaba", "abaababaaba",
+              "aabaababaaba", "baabaababaaba", "abaabaababaaba",
+              "babaabaababaaba", "ababaabaababaaba", "aababaabaababaaba",
+              "baababaabaababaaba", "abaababaabaababaaba",
+              "babaababaabaababaaba"]
+    assert check_empirical(fib, seeds, "a", 20).to_report() == \
+        _witness_table_text("a", 20, fib_us)
+    custom_us = ["", "a", "aa", "aaa", "acaa", "aacab", "abacab", "aabacab",
+                 "aaabacab", "aaaabacab", "abaaabacab", "aabaaabacab",
+                 "acabaaabacab"]
+    assert check_empirical(
+        custom, make_seed_set(custom, ("ab", "ba")), "ab", 12
+    ).to_report() == _witness_table_text("ab", 12, custom_us)
+
+    tri = random_tribonacci()
+    patterns = [
+        (fib, "a??b", {}, ("aaab", 3, "a", "baaab", 1)),
+        (fib, "b?b", {}, ("bab", 3, "a", "aabab", 2)),
+        (fib, "ab???ba", {}, ("abababa", 4, "a", "aabababa", 1)),
+        (fib, "b", {"stop_letters": ("a",), "min_level": 2},
+         ("b", 2, "a", "aba", 1)),
+        (fib, "a?a", {"min_level": 3}, ("aba", 3, "a", "abaab", 0)),
+        (fib, "?b?", {"stop_letters": ("a",)}, ("aba", 2, "a", "aba", 0)),
+        (tri, "c??c", {}, ("cabc", 4, "a", "abaabacabcaab", 6)),
+        (custom, "c?c", {}, ("cac", 3, "c", "abacacab", 3)),
+        (custom, "aa??aa", {"min_level": 3},
+         ("aacbaa", 3, "a", "baacbaa", 1)),
+    ]
+    for sub, pattern, kwargs, expect in patterns:
+        assert pattern_witness(sub, pattern, **kwargs) == expect, pattern
+
+    verdicts = [
+        (fib, "a", True, 0, (0, "a", "a")),
+        (fib, "bb", True, 3, (3, "a", "aabba")),
+        (fib, "abaab", True, 3, (3, "a", "abaab")),
+        (fib, "abba", True, 3, (3, "a", "aabba")),
+        (fib, "bbb", False, 3, None),
+        (tri, "acab", True, 2, (2, "a", "acab")),
+        (tri, "cc", True, 4, (4, "a", "abaabaccaabab")),
+        (custom, "caac", True, 3, (3, "c", "abcaacab")),
+        (custom, "ccc", False, 4, None),
+    ]
+    for sub, word, legal, levels, witness in verdicts:
+        verdict = is_legal(sub, word)
+        assert (verdict.legal, verdict.levels_examined, verdict.witness) == \
+            (legal, levels, witness), word

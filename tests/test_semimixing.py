@@ -232,10 +232,10 @@ def test_deep_verification_catches_broken_final_element(monkeypatch):
     cert = certify(fib, FIB, "ab")
     ns = range(cert.threshold, cert.threshold + 12)
     bad_n = cert.threshold + 7
-    real = semimixing.derive_witness
+    real = semimixing._derive_witness
 
-    def broken_tail(c, n):
-        u, s, steps = real(c, n)
+    def broken_tail(c, n, scheme):
+        u, s, steps = real(c, n, scheme)
         if n == bad_n:
             last = steps[-1]
             keep = len(last.word) + len(last.seed)
@@ -247,7 +247,7 @@ def test_deep_verification_catches_broken_final_element(monkeypatch):
             steps = steps[:-1] + [replace(last, element=element)]
         return u, s, steps
 
-    monkeypatch.setattr(semimixing, "derive_witness", broken_tail)
+    monkeypatch.setattr(semimixing, "_derive_witness", broken_tail)
     outcome = verify_certificate(cert, ns, deep=True)
     assert not outcome.ok
     assert outcome.counterexample == (bad_n, "final element is not an inflation word of a")
@@ -256,20 +256,42 @@ def test_deep_verification_catches_broken_final_element(monkeypatch):
     assert shallow.ok and shallow.checked == len(ns)
 
 
+def test_verify_certificate_builds_one_scheme(monkeypatch):
+    # the replay hands its own scheme to every derivation
+    cert = certify(random_fibonacci(), FIB, "ab")
+    built = []
+    real = Family.scheme
+
+    def counting(self):
+        built.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Family, "scheme", counting)
+    ns = range(cert.threshold, cert.threshold + 10)
+    for deep in (True, False):
+        built.clear()
+        assert verify_certificate(cert, ns, deep=deep).ok
+        assert len(built) == 1
+    built.clear()
+    assert derive_witness(cert, cert.threshold + 3) == \
+        semimixing._derive_witness(cert, cert.threshold + 3, real(FIB))
+    assert len(built) == 1
+
+
 def test_deep_verification_anchors_the_chain_at_level_two(monkeypatch):
     # every link is still an image one level up, but the chain claims to
     # start at level 3, where no base element was checked
     fib = random_fibonacci()
     cert = certify(fib, FIB, "a")
-    real = semimixing.derive_witness
+    real = semimixing._derive_witness
 
-    def shifted_levels(c, n):
-        u, s, steps = real(c, n)
+    def shifted_levels(c, n, scheme):
+        u, s, steps = real(c, n, scheme)
         return u, s, [replace(steps[0], level=3)] + [
             replace(step, level=step.level + 1) for step in steps[1:]
         ]
 
-    monkeypatch.setattr(semimixing, "derive_witness", shifted_levels)
+    monkeypatch.setattr(semimixing, "_derive_witness", shifted_levels)
     outcome = verify_certificate(cert, [cert.threshold], deep=True)
     assert outcome.counterexample == (
         cert.threshold, "final element is not an inflation word of a")
