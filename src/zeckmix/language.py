@@ -32,6 +32,8 @@ reported languages.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 from .errors import GuardExceededError
@@ -39,6 +41,10 @@ from .substitution import RandomSubstitution, apply_to_set
 
 WILDCARD = "?"
 _LEVEL_SAFETY_CAP = 4096
+
+# (substitution, extraction memo) of the `_shared_extraction` block running
+# in this thread or task; None outside one
+_SHARED_MEMO: ContextVar = ContextVar("zeckmix_shared_memo", default=None)
 
 
 def is_subword(u: str, w: str) -> bool:
@@ -201,30 +207,92 @@ def _ends(spans, q):
     return out
 
 
+def _advance(reach, profile, limit):
+    """Progress positions <= limit after one more child with `profile`, from
+    the positions `reach` before it, each with how it was first reached:
+    skip (0), restart (a suffix of the child matches a prefix) or cont from
+    q (the child spans pattern[q:end]).  The dict order is the order of
+    first reaching, which fixes the predecessor that backtracking takes."""
+    upto = (2 << limit) - 1
+    _, sp_c, _, spans_c = profile
+    cur = {0: ("skip",)}
+    m = sp_c & upto
+    while m:
+        low = m & -m
+        m ^= low
+        cur.setdefault(low.bit_length() - 1, ("restart",))
+    for q in reach:
+        m = _ends(spans_c, q) & upto
+        while m:
+            low = m & -m
+            m ^= low
+            cur.setdefault(low.bit_length() - 1, ("cont", q))
+    return cur
+
+
 class _Extractor:
-    def __init__(self, sub, pattern, history):
+    """Rebuild concrete inflation words realising the facts that a profile
+    search recorded for one pattern.
+
+    `exact`, `tail` and `head` are memoised in `memo`, keyed by the slice
+    of the pattern that each answer depends on:
+
+      * exact(i, j, c, k) by (pattern[i:j], c, k)
+      * tail(t, c, k)     by (pattern[:t], c, k)
+      * head(p, c, k)     by (pattern[p:], c, k)
+
+    A profile bit at a level is a fact about the pattern slice it names:
+    span bit (L, i) says pattern[i:i+L] is an element, sp bit t says
+    pattern[:t] is a suffix of one, ps bit p says pattern[p:] is a prefix
+    of one.  `exact` reads only span bits inside [i, j] (a path of element
+    ends is cut off once it passes j), `tail` only sp and span bits at
+    positions <= t, and `head` only ps and span bits at positions >= p.
+    The search order that picks the first realisation (images in rule
+    order, children left to right, element ends ascending, insertion order
+    of the reach-step dicts) is fixed by those same bits, and so are the
+    recursive calls an answer makes.  Each answer is therefore a function
+    of its key alone: `exact` gives the same element for its slice at any
+    offset of any pattern, `tail` for every pattern with that prefix, and
+    `head` for every pattern with that suffix.  One key thus covers an
+    all-'?' run wherever it sits, and the pieces w ?^k and ?^k s are shared
+    by all gap patterns w ?^n s with the same w or s.  The
+    pattern-independent `spell` lives in the same dict.
+
+    A memo may therefore serve many patterns, but only of one substitution,
+    and it belongs to one call of a public operation (`pattern_witness`,
+    `is_legal`, or a whole `check_empirical` via `_shared_extraction`).
+    """
+
+    def __init__(self, sub, pattern, history, memo):
         self.sub = sub
         self.pattern = pattern
         self.size = len(pattern)
         self.history = history
-        self._spell_memo: dict = {}
+        self.memo = memo
+
+    def _memoised(self, key, build, *args):
+        got = self.memo.get(key)
+        if got is None:
+            got = self.memo[key] = build(*args)
+        return got
 
     def spell(self, letter, level):
-        key = (letter, level)
-        got = self._spell_memo.get(key)
-        if got is None:
-            if level == 0:
-                got = letter
-            else:
-                got = "".join(
-                    self.spell(c, level - 1)
-                    for c in self.sub.rule[letter][0]
-                )
-            self._spell_memo[key] = got
-        return got
+        return self._memoised(("spell", letter, level),
+                              self._spell, letter, level)
+
+    def _spell(self, letter, level):
+        if level == 0:
+            return letter
+        return "".join(
+            self.spell(c, level - 1) for c in self.sub.rule[letter][0]
+        )
 
     def exact(self, i, j, letter, level):
         """Element of (letter, level) equal to pattern[i:j]."""
+        return self._memoised(("exact", self.pattern[i:j], letter, level),
+                              self._exact, i, j, letter, level)
+
+    def _exact(self, i, j, letter, level):
         if level == 0:
             assert j == i + 1 and _matches(self.pattern, letter, i)
             return letter
@@ -239,13 +307,14 @@ class _Extractor:
 
     def _exact_path(self, image, i, j, prev):
         dead = set()
+        upto = (2 << j) - 1         # element ends past j never come back
 
         def walk(idx, q):
             if idx == len(image):
                 return [] if q == j else None
             if (idx, q) in dead:
                 return None
-            m = _ends(prev[image[idx]][3], q)
+            m = _ends(prev[image[idx]][3], q) & upto
             while m:
                 low = m & -m
                 end = low.bit_length() - 1
@@ -260,38 +329,21 @@ class _Extractor:
 
     def tail(self, t, letter, level):
         """Element of (letter, level) whose last t characters match pattern[:t]."""
+        return self._memoised(("tail", self.pattern[:t], letter, level),
+                              self._tail, t, letter, level)
+
+    def _tail(self, t, letter, level):
         if level == 0:
             assert t == 1 and _matches(self.pattern, letter, 0)
             return letter
         prev = self.history[level - 1]
         for image in self.sub.rule[letter]:
-            steps = self._reach_steps(image, prev)
-            if t in steps[len(image)]:
+            steps = [{0: ("init",)}]
+            for c in image:
+                steps.append(_advance(steps[-1], prev[c], t))
+            if t in steps[-1]:
                 return self._assemble_tail(image, steps, t, level)
         raise AssertionError("no realisation for recorded suffix-prefix")
-
-    def _reach_steps(self, image, prev):
-        """Forward progress sets with predecessor records, per child."""
-        steps = [dict() for _ in range(len(image) + 1)]
-        steps[0][0] = ("init",)
-        for idx, c in enumerate(image):
-            sp_c, spans_c = prev[c][1], prev[c][3]
-            cur = steps[idx + 1]
-            cur[0] = ("skip",)
-            m = sp_c
-            while m:
-                low = m & -m
-                tt = low.bit_length() - 1
-                m ^= low
-                cur.setdefault(tt, ("restart",))
-            for q in steps[idx]:
-                m = _ends(spans_c, q)
-                while m:
-                    low = m & -m
-                    end = low.bit_length() - 1
-                    m ^= low
-                    cur.setdefault(end, ("cont", q))
-        return steps
 
     def _assemble_tail(self, image, steps, t, level):
         """Backtrack one progress chain ending at t; return the element."""
@@ -323,6 +375,10 @@ class _Extractor:
 
     def head(self, p, letter, level):
         """Element of (letter, level) starting with pattern[p:]."""
+        return self._memoised(("head", self.pattern[p:], letter, level),
+                              self._head, p, letter, level)
+
+    def _head(self, p, letter, level):
         if level == 0:
             assert p == self.size - 1 and _matches(self.pattern, letter, p)
             return letter
@@ -394,7 +450,7 @@ class _Extractor:
         """First match completing inside child idx, scanning children left
         to right: by a prefix of the child (progress q in its ps), else by
         the child spanning the rest of the pattern exactly."""
-        steps = self._reach_steps(image, prev)
+        steps = [{0: ("init",)}]
         for idx, c in enumerate(image):
             ps_c, spans_c = prev[c][2], prev[c][3]
             for q in steps[idx]:
@@ -405,6 +461,8 @@ class _Extractor:
                     return self._assemble_straddle(
                         image, steps, idx, q, level, final_exact=self.size
                     )
+            # progress past child idx is needed only if nothing completed
+            steps.append(_advance(steps[idx], prev[c], self.size))
         return None
 
     def _assemble_straddle(self, image, steps, idx, q, level, final_exact=None):
@@ -474,7 +532,8 @@ def is_legal(sub: RandomSubstitution, u: str, want_witness: bool = True) -> Lega
         return LegalityVerdict(False, None, level, True)
     witness = None
     if want_witness:
-        element, start = _Extractor(sub, u, history).occurrence(letter, level)
+        extractor = _Extractor(sub, u, history, {})
+        element, start = extractor.occurrence(letter, level)
         assert element[start:start + len(u)] == u
         witness = (level, letter, element)
     return LegalityVerdict(True, witness, level, False)
@@ -490,10 +549,26 @@ def pattern_witness(sub: RandomSubstitution, pattern: str,
     )
     if not found:
         return None
-    element, start = _Extractor(sub, pattern, history).occurrence(letter, level)
+    shared = _SHARED_MEMO.get()
+    memo = shared[1] if shared is not None and shared[0] is sub else {}
+    extractor = _Extractor(sub, pattern, history, memo)
+    element, start = extractor.occurrence(letter, level)
     matched = element[start:start + len(pattern)]
     assert _matches(pattern, matched)
     return matched, level, letter, element, start
+
+
+@contextmanager
+def _shared_extraction(sub: RandomSubstitution):
+    """Within the block, `pattern_witness` calls on `sub` made by this thread
+    share one extraction memo, dropped when the block exits; the witnesses
+    are the same as without it (see `_Extractor`).  Other threads, and
+    calls on other substitutions, keep a fresh memo per call."""
+    token = _SHARED_MEMO.set((sub, {}))
+    try:
+        yield
+    finally:
+        _SHARED_MEMO.reset(token)
 
 
 def is_legal_bruteforce(sub: RandomSubstitution, u: str, max_level: int,
@@ -521,9 +596,12 @@ def language_of_length(sub: RandomSubstitution, n: int,
     if n == 1:
         return tuple(sorted(a for a in sub.alphabet
                             if is_legal(sub, a, want_witness=False).legal))
+    # every length-n factor of an element straddles a child boundary at
+    # some level (a single letter holds none), and the straddles at level
+    # k + 1 are a function of the (prefix, suffix) state at level k: once
+    # that state repeats, every factor has been found
     cut = n - 1
-    state = {a: (frozenset(), frozenset({a}), frozenset({a}))
-             for a in sub.alphabet}
+    state = {a: (frozenset({a}), frozenset({a})) for a in sub.alphabet}
     found: set[str] = set()
     seen_states = {tuple(sorted(state.items()))}
     while True:
@@ -531,17 +609,14 @@ def language_of_length(sub: RandomSubstitution, n: int,
         for a in sub.alphabet:
             per = {}
             for j in range(1, n):
-                per[j] = frozenset(p[:j] for p in state[a][1] if len(p) >= j)
+                per[j] = frozenset(p[:j] for p in state[a][0] if len(p) >= j)
             pref_by_len[a] = per
         new_state = {}
         for a in sub.alphabet:
-            subs_a, pref_a, suff_a = set(), set(), set()
+            pref_a, suff_a = set(), set()
             for image in sub.rule[a]:
                 boundary = {""}
-                local: set[str] = set()
                 for c in image:
-                    subs_c = state[c][0]
-                    local |= subs_c
                     tails_by_len: dict[int, set[str]] = {}
                     for b in boundary:
                         for t in range(1, len(b) + 1):
@@ -551,9 +626,9 @@ def language_of_length(sub: RandomSubstitution, n: int,
                             continue
                         for left in tails:
                             for right in pref_by_len[c][n - t]:
-                                local.add(left + right)
+                                found.add(left + right)
                     new_boundary = set()
-                    for s in state[c][2]:
+                    for s in state[c][1]:
                         if len(s) == cut:
                             new_boundary.add(s)
                         else:
@@ -571,16 +646,14 @@ def language_of_length(sub: RandomSubstitution, n: int,
                         if len(f) == cut:
                             new_forward.add(f)
                         else:
-                            for p in state[c][1]:
+                            for p in state[c][0]:
                                 joined = f + p
                                 new_forward.add(
                                     joined[:cut] if len(joined) > cut else joined
                                 )
                     forward = new_forward
                 pref_a |= forward
-                subs_a |= local
-            new_state[a] = (frozenset(subs_a), frozenset(pref_a), frozenset(suff_a))
-            found |= subs_a
+            new_state[a] = (frozenset(pref_a), frozenset(suff_a))
             if len(found) > guard:
                 raise GuardExceededError(
                     f"language_of_length exceeds the {guard}-word guard"

@@ -39,7 +39,12 @@ from .errors import (
     IllegalWordError,
     UnsupportedFamilyError,
 )
-from .language import LegalityVerdict, is_legal, pattern_witness
+from .language import (
+    LegalityVerdict,
+    _shared_extraction,
+    is_legal,
+    pattern_witness,
+)
 from .numeration import (
     DigitString,
     NumerationScheme,
@@ -251,22 +256,25 @@ def check_empirical(sub: RandomSubstitution, seeds: SeedSet, w: str,
     if not is_legal(sub, w, want_witness=False).legal:
         raise IllegalWordError(f"source word {w!r} is not legal")
     entries: list[WitnessEntry | None] = []
-    for n in range(n_max + 1):
-        entry = None
-        for s in seeds.words:
-            hit = pattern_witness(sub, w + "?" * n + s)
-            if hit is None:
-                continue
-            matched = hit[0]
-            u = matched[len(w):len(w) + n]
-            evidence = is_legal(sub, w + u + s, want_witness=False)
-            if not evidence.legal:
-                raise AssertionError(
-                    "extracted witness failed independent replay"
-                )
-            entry = WitnessEntry(n, u, s, evidence)
-            break
-        entries.append(entry)
+    # the gap patterns share their w- and s-side pieces, so their witness
+    # extractions share one memo, owned by this call
+    with _shared_extraction(sub):
+        for n in range(n_max + 1):
+            entry = None
+            for s in seeds.words:
+                hit = pattern_witness(sub, w + "?" * n + s)
+                if hit is None:
+                    continue
+                matched = hit[0]
+                u = matched[len(w):len(w) + n]
+                evidence = is_legal(sub, w + u + s, want_witness=False)
+                if not evidence.legal:
+                    raise AssertionError(
+                        "extracted witness failed independent replay"
+                    )
+                entry = WitnessEntry(n, u, s, evidence)
+                break
+            entries.append(entry)
     threshold = None
     for n in range(n_max, -1, -1):
         if entries[n] is None:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from zeckmix.errors import GuardExceededError
 from zeckmix.language import (
     _pattern_search,
+    _shared_extraction,
     is_legal,
     is_legal_bruteforce,
     is_subword,
@@ -305,6 +306,41 @@ def test_profiles_match_enumeration(rule, data, min_level):
             except GuardExceededError:
                 return
             assert profiles[letter] == expect, (pattern, letter, level)
+
+
+@given(rule=mixed_rules, data=st.data(),
+       n_max=st.integers(min_value=0, max_value=8))
+@settings(max_examples=200, deadline=None)
+def test_shared_extraction_memo_matches_fresh(rule, data, n_max):
+    # the gap patterns w ?^n s of one check_empirical call, in its order,
+    # extracted through one shared memo: every answer must be the one a
+    # fresh extraction gives for that pattern alone
+    sub = make_substitution(rule)
+    words = language_of_length(sub, data.draw(st.integers(1, 3)))
+    assume(words)
+    w = data.draw(st.sampled_from(words))
+    seed_words = language_of_length(sub, data.draw(st.integers(1, 2)))
+    assume(seed_words)
+    seeds = sorted(data.draw(st.sets(st.sampled_from(seed_words), min_size=1)))
+    patterns = [w + "?" * n + s for n in range(n_max + 1) for s in seeds]
+    with _shared_extraction(sub):
+        shared = [pattern_witness(sub, p) for p in patterns]
+    for pattern, got in zip(patterns, shared):
+        assert got == pattern_witness(sub, pattern), pattern
+
+
+@given(rule=mixed_rules, n=st.integers(min_value=2, max_value=4))
+@settings(max_examples=150, deadline=None)
+def test_language_matches_per_word_legality_mixed_rules(rule, n):
+    # rules with images of different lengths, not necessarily primitive:
+    # the (prefix, suffix) state must not repeat before every factor is found
+    sub = make_substitution(rule)
+    alphabet = "".join(sub.alphabet)
+    expect = tuple(sorted(
+        word for word in map("".join, itertools.product(alphabet, repeat=n))
+        if is_legal(sub, word, want_witness=False).legal
+    ))
+    assert language_of_length(sub, n) == expect
 
 
 @given(st.text(alphabet="ab", min_size=1, max_size=7))

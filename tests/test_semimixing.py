@@ -1,14 +1,21 @@
 import itertools
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
 
-from zeckmix import semimixing
-from zeckmix.errors import IllegalWordError, UnsupportedFamilyError
+from zeckmix import language, semimixing
+from zeckmix.errors import (
+    GuardExceededError,
+    IllegalWordError,
+    UnsupportedFamilyError,
+)
 from zeckmix.language import is_legal, language_of_length
 from zeckmix.numeration import DigitString, decode, encode_greedy
 from zeckmix.semimixing import (
     Family,
+    SeedSet,
     _is_inflation_chain,
     certificate_report,
     certify,
@@ -25,6 +32,7 @@ from zeckmix.semimixing import (
 from zeckmix.substitution import (
     apply,
     build_dag,
+    make_substitution,
     random_fibonacci,
     random_metallic,
     random_tribonacci,
@@ -93,6 +101,64 @@ def test_check_empirical_degenerate_horizon():
     entry = table.entries[0]
     assert entry is not None and entry.u == ""
     assert is_legal(fib, "a" + entry.s, want_witness=False).legal
+
+
+def test_check_empirical_keyword_edges():
+    fib = random_fibonacci()
+    seeds = seed_sets(FIB)
+    table = check_empirical(fib, seeds, "a", 5, horizon_guard=5)
+    assert len(table.entries) == 6
+    assert table.to_report() == check_empirical(fib, seeds, "a", 5).to_report()
+    with pytest.raises(GuardExceededError):
+        check_empirical(fib, seeds, "a", 6, horizon_guard=5)
+    with pytest.raises(ValueError):
+        check_empirical(fib, seeds, "a", -1)
+    assert len(check_empirical(fib, seeds, "a", 0).entries) == 1
+    unvalidated = SeedSet(seeds.words, seeds.length, False)
+    with pytest.raises(ValueError):
+        check_empirical(fib, unvalidated, "a", 3)
+
+
+def test_check_empirical_shared_across_threads():
+    # one substitution and seed set per rule, used by every thread at once:
+    # each call's extraction memo is its own and is dropped when the call
+    # returns, and every report is the one a serial run gives
+    custom = make_substitution(
+        {"a": ("ab", "ba"), "b": ("ac", "ca"), "c": ("a", "aa")})
+    fib = random_fibonacci()
+    jobs = [(fib, seed_sets(FIB, fib), "a", 40),
+            (custom, make_seed_set(custom, ("ab", "ba")), "ab", 12)]
+    serial = [check_empirical(*job).to_report() for job in jobs]
+    n_threads = 4
+    start = threading.Barrier(n_threads, timeout=60)
+    reports = [None] * n_threads
+    errors = []
+
+    def work(k):
+        try:
+            start.wait()
+            reports[k] = [check_empirical(*job).to_report()
+                          for job in jobs[k % 2:] + jobs[:k % 2]]
+            # the memo went with the call
+            assert language._SHARED_MEMO.get() is None
+        except Exception as exc:  # reported below, on the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(k,), daemon=True)
+               for k in range(n_threads)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    for k, got in enumerate(reports):
+        assert got == serial[k % 2:] + serial[:k % 2], k
 
 
 def test_check_empirical_rejects_illegal_source():
