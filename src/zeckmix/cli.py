@@ -21,20 +21,16 @@ from .errors import (
 from .language import is_legal, language_of_length
 from .numeration import (
     LinearRecurrence,
-    custom_scheme,
     decode,
     digit_string_from_text,
     encode_greedy,
-    fibonacci_scheme,
     is_complete,
     is_valid,
-    kbonacci_scheme,
-    metallic_pisa_scheme,
-    metallic_scheme,
     term,
-    tribonacci_scheme,
 )
 from .semimixing import (
+    _FAMILIES,
+    HORIZON_GUARD,
     Family,
     certificate_report,
     certify,
@@ -45,6 +41,7 @@ from .semimixing import (
     verify_certificate,
 )
 from .substitution import (
+    DEFAULT_SET_GUARD,
     apply,
     build_dag,
     format_rules,
@@ -59,11 +56,7 @@ HEADER = "# zeckmix report v1"
 
 
 def _add_family_flags(parser):
-    parser.add_argument(
-        "--family",
-        choices=["fibonacci", "tribonacci", "kbonacci", "metallic", "metallic-pisa"],
-        help="built-in family",
-    )
+    parser.add_argument("--family", choices=list(_FAMILIES), help="built-in family")
     parser.add_argument("--k", type=int, help="k parameter (kbonacci, metallic-pisa)")
     parser.add_argument("--m", type=int, help="m parameter (metallic, metallic-pisa)")
 
@@ -71,30 +64,16 @@ def _add_family_flags(parser):
 def _family_from_args(args) -> Family:
     if not args.family:
         raise ValueError("--family is required here")
-    if args.family == "kbonacci":
-        if args.k is None:
-            raise ValueError("kbonacci needs --k")
-        return Family("kbonacci", (args.k,))
-    if args.family == "metallic":
-        if args.m is None:
-            raise ValueError("metallic needs --m")
-        return Family("metallic", (args.m,))
-    if args.family == "metallic-pisa":
-        if args.k is None or args.m is None:
-            raise ValueError("metallic-pisa needs --k and --m")
-        return Family("metallic-pisa", (args.k, args.m))
-    return Family(args.family)
+    names = _FAMILIES[args.family].params
+    values = tuple(getattr(args, n) for n in names)
+    if None in values:
+        flags = " and ".join(f"--{n}" for n in names)
+        raise ValueError(f"{args.family} needs {flags}")
+    return Family(args.family, values)
 
 
 def _scheme_from_args(args):
-    fam = _family_from_args(args)
-    return {
-        "fibonacci": fibonacci_scheme,
-        "tribonacci": tribonacci_scheme,
-        "kbonacci": lambda: kbonacci_scheme(fam.params[0]),
-        "metallic": lambda: metallic_scheme(fam.params[0]),
-        "metallic-pisa": lambda: metallic_pisa_scheme(*fam.params),
-    }[fam.name]()
+    return _family_from_args(args).scheme()
 
 
 def _substitution_from_args(args):
@@ -352,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     app = subst.add_parser("apply")
     _add_family_flags(app)
     app.add_argument("--rules")
-    app.add_argument("--guard", type=int, default=10**6)
+    app.add_argument("--guard", type=int, default=DEFAULT_SET_GUARD)
     app.add_argument("word")
     app.set_defaults(handler=_cmd_subst_apply)
     inf = subst.add_parser("inflate")
@@ -360,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     inf.add_argument("--rules")
     inf.add_argument("--letter", required=True)
     inf.add_argument("--level", type=int, required=True)
-    inf.add_argument("--guard", type=int, default=10**6)
+    inf.add_argument("--guard", type=int, default=DEFAULT_SET_GUARD)
     inf.set_defaults(handler=_cmd_subst_inflate)
 
     lang = top.add_parser("lang", help="subshift language").add_subparsers(
@@ -374,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_flags(enm)
     enm.add_argument("--rules")
     enm.add_argument("--n", type=int, required=True)
-    enm.add_argument("--guard", type=int, default=10**6)
+    enm.add_argument("--guard", type=int, default=DEFAULT_SET_GUARD)
     enm.set_defaults(handler=_cmd_lang_enum)
 
     semi = top.add_parser("semimix", help="semi-mixing checks").add_subparsers(
@@ -384,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--rules")
     chk.add_argument("--word", required=True)
     chk.add_argument("--horizon", type=int, default=20)
-    chk.add_argument("--horizon-guard", type=int, default=200, dest="horizon_guard")
+    chk.add_argument("--horizon-guard", type=int, default=HORIZON_GUARD,
+                     dest="horizon_guard")
     chk.add_argument("--seeds", help="comma-separated seed words")
     chk.set_defaults(handler=_cmd_semimix_check)
     crt = semi.add_parser("certify")

@@ -37,7 +37,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 
 from .errors import GuardExceededError
-from .substitution import RandomSubstitution, apply_to_set
+from .substitution import DEFAULT_SET_GUARD, RandomSubstitution, apply_to_set
 
 WILDCARD = "?"
 _LEVEL_SAFETY_CAP = 4096
@@ -572,7 +572,7 @@ def _shared_extraction(sub: RandomSubstitution):
 
 
 def is_legal_bruteforce(sub: RandomSubstitution, u: str, max_level: int,
-                        guard: int = 10**6) -> bool:
+                        guard: int = DEFAULT_SET_GUARD) -> bool:
     """Oracle by full enumeration of every inflation word set up to max_level."""
     if not u:
         raise ValueError("word must be non-empty")
@@ -589,7 +589,7 @@ def is_legal_bruteforce(sub: RandomSubstitution, u: str, max_level: int,
 
 
 def language_of_length(sub: RandomSubstitution, n: int,
-                       guard: int = 10**6) -> tuple[str, ...]:
+                       guard: int = DEFAULT_SET_GUARD) -> tuple[str, ...]:
     """All legal words of length n, sorted; exact via bounded-set propagation."""
     if n < 1:
         raise ValueError("n must be >= 1")

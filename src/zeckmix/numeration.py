@@ -90,31 +90,30 @@ class LinearRecurrence:
 
 
 def fibonacci_recurrence() -> LinearRecurrence:
-    return LinearRecurrence(2, (1, 1), (1, 1), "fibonacci")
+    return _metallic_pisa_recurrence(2, 1, "fibonacci")
 
 
 def tribonacci_recurrence() -> LinearRecurrence:
-    return LinearRecurrence(3, (1, 1, 1), (0, 1, 1), "tribonacci")
+    return _metallic_pisa_recurrence(3, 1, "tribonacci")
 
 
 def kbonacci_recurrence(k: int) -> LinearRecurrence:
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    init = (0,) * (k - 2) + (1, 1)
-    return LinearRecurrence(k, (1,) * k, init, f"{k}-bonacci")
+    return _metallic_pisa_recurrence(k, 1, f"{k}-bonacci")
 
 
 def metallic_recurrence(m: int) -> LinearRecurrence:
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return LinearRecurrence(2, (m, 1), (1, 1), f"metallic-{m}")
+    return _metallic_pisa_recurrence(2, m, f"metallic-{m}")
 
 
 def metallic_pisa_recurrence(k: int, m: int) -> LinearRecurrence:
+    return _metallic_pisa_recurrence(k, m, f"metallic-pisa-{k}-{m}")
+
+
+def _metallic_pisa_recurrence(k: int, m: int, label: str) -> LinearRecurrence:
     if k < 2 or m < 1:
         raise ValueError("need k >= 2 and m >= 1")
     init = (0,) * (k - 2) + (1, 1)
-    return LinearRecurrence(k, (m,) + (1,) * (k - 1), init, f"metallic-pisa-{k}-{m}")
+    return LinearRecurrence(k, (m,) + (1,) * (k - 1), init, label)
 
 
 @dataclass(frozen=True)
@@ -167,34 +166,34 @@ class NumerationScheme:
         return window < self.recurrence.coefficients
 
     def descriptor(self) -> str:
-        names = {"kbonacci": ("k",), "metallic": ("m",),
-                 "metallic-pisa": ("k", "m")}.get(self.family, ())
-        parts = [f"family={self.family}"]
-        parts += [f"{n}={v}" for n, v in zip(names, self.params)]
-        parts.append(f"base_index={self.base_index}")
-        return " ".join(parts)
+        from .semimixing import _label  # its family table names the parameters
+
+        return f"family={_label(self.family, self.params)} base_index={self.base_index}"
 
 
 def fibonacci_scheme() -> NumerationScheme:
-    return NumerationScheme(fibonacci_recurrence(), "fibonacci", (), 1)
+    return _family_scheme(fibonacci_recurrence(), "fibonacci")
 
 
 def tribonacci_scheme() -> NumerationScheme:
-    return NumerationScheme(tribonacci_recurrence(), "tribonacci", (), 2)
+    return _family_scheme(tribonacci_recurrence(), "tribonacci")
 
 
 def kbonacci_scheme(k: int) -> NumerationScheme:
-    return NumerationScheme(kbonacci_recurrence(k), "kbonacci", (k,), k - 1)
+    return _family_scheme(kbonacci_recurrence(k), "kbonacci", k)
 
 
 def metallic_scheme(m: int) -> NumerationScheme:
-    return NumerationScheme(metallic_recurrence(m), "metallic", (m,), 1)
+    return _family_scheme(metallic_recurrence(m), "metallic", m)
 
 
 def metallic_pisa_scheme(k: int, m: int) -> NumerationScheme:
-    return NumerationScheme(
-        metallic_pisa_recurrence(k, m), "metallic-pisa", (k, m), k - 1
-    )
+    return _family_scheme(metallic_pisa_recurrence(k, m), "metallic-pisa", k, m)
+
+
+def _family_scheme(rec: LinearRecurrence, family: str, *params: int) -> NumerationScheme:
+    """Digits of a built-in family start at term k-1, the first equal to 1."""
+    return NumerationScheme(rec, family, params, rec.order - 1)
 
 
 def custom_scheme(recurrence: LinearRecurrence, base_index: int) -> NumerationScheme:

@@ -32,6 +32,7 @@ proves that the final element is an inflation word of a at its level.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 from .errors import (
@@ -71,6 +72,108 @@ HORIZON_GUARD = 200
 _WITNESS_LENGTH_GUARD = 10**6
 
 
+def _fibonacci_tables():
+    imgs = {"a": "ab", "b": "a"}
+    base = {1: ("a", "ab", "aab")}
+    step = {(s, d): "aba" for s in ("ab", "ba") for d in (0, 1)}
+    return imgs, base, step
+
+
+def _tribonacci_tables():
+    imgs = {"a": "ab", "b": "ac", "c": "a"}
+    base = {1: ("a", "ba", "abac")}
+    chosen = {"ab": "abac", "ba": "acab", "ac": "aba", "ca": "aba"}
+    step = {(s, d): chosen[s] for s in chosen for d in (0, 1)}
+    return imgs, base, step
+
+
+def _metallic_tables(m: int):
+    imgs = {"a": "a" * m + "b", "b": "a"}
+    filler = ("a" * m + "b")
+    base = {}
+    for j in range(1, m + 1):
+        e0 = ("a" * j + "b" + "a" * (m - j)) + filler * (m - 1) + "a"
+        base[j] = ("a" * j, "b" + "a" * m, e0)
+    step = {}
+    for i in range(m + 1):
+        s = "a" * i + "b" + "a" * (m - i)
+        for j in range(m + 1):
+            if i >= 1:
+                r = ("a" * j + "b" + "a" * (m - j)) + filler * (i - 1) \
+                    + "a" + filler * (m - i)
+            elif j >= 1:
+                r = "a" + ("a" * (j - 1) + "b" + "a" * (m - j + 1)) \
+                    + filler * (m - 1)
+            else:
+                r = "a" + ("b" + "a" * m) + filler * (m - 1)
+            step[(s, j)] = r
+    return imgs, base, step
+
+
+def _kbonacci_seeds(letters: str, k: int) -> tuple[str, ...]:
+    return tuple(sorted({"a" + x for x in letters} | {x + "a" for x in letters}))
+
+
+def _metallic_seeds(letters: str, m: int) -> tuple[str, ...]:
+    return tuple("a" * i + "b" + "a" * (m - i) for i in range(m + 1))
+
+
+def _metallic_pisa_seeds(letters: str, k: int, m: int) -> tuple[str, ...]:
+    return tuple(sorted({
+        "a" * i + x + "a" * (m - i) for i in range(m + 1) for x in letters[1:]
+    }))
+
+
+@dataclass(frozen=True)
+class _FamilySpec:
+    """A built-in family, an instance of metallic-Pisa(k, m).  Builders take
+    the parameters named in `params` (`seeds` takes the alphabet first);
+    `tables` exists for the families `certify` covers, and `alias` names the
+    covered family certified in place of this one."""
+
+    params: tuple[str, ...]
+    substitution: Callable[..., RandomSubstitution]
+    scheme: Callable[..., NumerationScheme]
+    seeds: Callable[..., tuple[str, ...]]
+    tables: Callable[..., tuple] | None = None
+    alias: Callable[..., Family | None] = lambda *params: None
+
+
+# Builders are looked up when called, so wrappers installed on this module's
+# globals (zbench's tracer, test monkeypatches) see every call.
+_FAMILIES = {
+    "fibonacci": _FamilySpec(
+        (), lambda: random_fibonacci(), lambda: fibonacci_scheme(),
+        lambda letters: ("ab", "ba"), _fibonacci_tables),
+    "tribonacci": _FamilySpec(
+        (), lambda: random_tribonacci(), lambda: tribonacci_scheme(),
+        lambda letters: ("ab", "ba", "ac", "ca"), _tribonacci_tables),
+    "kbonacci": _FamilySpec(
+        ("k",), lambda k: random_kbonacci(k), lambda k: kbonacci_scheme(k),
+        _kbonacci_seeds,
+        alias=lambda k: {2: Family("fibonacci"), 3: Family("tribonacci")}.get(k)),
+    "metallic": _FamilySpec(
+        ("m",), lambda m: random_metallic(m), lambda m: metallic_scheme(m),
+        _metallic_seeds, _metallic_tables),
+    "metallic-pisa": _FamilySpec(
+        ("k", "m"), lambda k, m: metallic_pisa(k, m),
+        lambda k, m: metallic_pisa_scheme(k, m), _metallic_pisa_seeds,
+        alias=lambda k, m: Family("metallic", (m,)) if k == 2 else None),
+}
+
+
+def _spec(name: str) -> _FamilySpec:
+    if name not in _FAMILIES:
+        raise UnsupportedFamilyError(f"unknown family {name!r}")
+    return _FAMILIES[name]
+
+
+def _label(name: str, params: tuple[int, ...]) -> str:
+    """`name`, then `key=value` for each parameter of a built-in family."""
+    names = _FAMILIES[name].params if name in _FAMILIES else ()
+    return " ".join([name] + [f"{n}={v}" for n, v in zip(names, params)])
+
+
 @dataclass(frozen=True)
 class Family:
     """A built-in family tag: fibonacci, tribonacci, kbonacci(k),
@@ -80,79 +183,49 @@ class Family:
     params: tuple[int, ...] = ()
 
     def __post_init__(self):
-        expected = {"fibonacci": 0, "tribonacci": 0, "kbonacci": 1,
-                    "metallic": 1, "metallic-pisa": 2}
-        if self.name not in expected:
-            raise UnsupportedFamilyError(f"unknown family {self.name!r}")
-        if len(self.params) != expected[self.name]:
+        expected = len(_spec(self.name).params)
+        if len(self.params) != expected:
             raise UnsupportedFamilyError(
-                f"family {self.name!r} takes {expected[self.name]} parameter(s)"
+                f"family {self.name!r} takes {expected} parameter(s)"
             )
 
     def substitution(self) -> RandomSubstitution:
-        if self.name == "fibonacci":
-            return random_fibonacci()
-        if self.name == "tribonacci":
-            return random_tribonacci()
-        if self.name == "kbonacci":
-            return random_kbonacci(self.params[0])
-        if self.name == "metallic":
-            return random_metallic(self.params[0])
-        return metallic_pisa(*self.params)
+        return _FAMILIES[self.name].substitution(*self.params)
 
     def scheme(self) -> NumerationScheme:
-        if self.name == "fibonacci":
-            return fibonacci_scheme()
-        if self.name == "tribonacci":
-            return tribonacci_scheme()
-        if self.name == "kbonacci":
-            return kbonacci_scheme(self.params[0])
-        if self.name == "metallic":
-            return metallic_scheme(self.params[0])
-        return metallic_pisa_scheme(*self.params)
+        return _FAMILIES[self.name].scheme(*self.params)
 
     def seed_words(self) -> tuple[str, ...]:
-        if self.name == "fibonacci":
-            return ("ab", "ba")
-        if self.name == "tribonacci":
-            return ("ab", "ba", "ac", "ca")
-        if self.name == "kbonacci":
-            k = self.params[0]
-            letters = self.substitution().alphabet
-            words = {letters[0] + x for x in letters} | {x + letters[0] for x in letters}
-            return tuple(sorted(words))
-        if self.name == "metallic":
-            m = self.params[0]
-            return tuple("a" * i + "b" + "a" * (m - i) for i in range(m + 1))
-        k, m = self.params
-        letters = self.substitution().alphabet
-        words = {
-            "a" * i + letters[j] + "a" * (m - i)
-            for i in range(m + 1) for j in range(1, k)
-        }
-        return tuple(sorted(words))
+        letters = "".join(self.substitution().alphabet)
+        return _FAMILIES[self.name].seeds(letters, *self.params)
 
     def label(self) -> str:
-        if not self.params:
-            return self.name
-        names = {"kbonacci": ("k",), "metallic": ("m",),
-                 "metallic-pisa": ("k", "m")}[self.name]
-        return self.name + " " + " ".join(
-            f"{n}={v}" for n, v in zip(names, self.params)
-        )
+        return _label(self.name, self.params)
+
+
+def _key_values(field: str, parts, keys: tuple[str, ...]) -> dict[str, str]:
+    """The `key=value` parts of a certificate field, which must be `keys`."""
+    kv = dict(part.partition("=")[::2] for part in parts)
+    if set(kv) != set(keys) or len(kv) != len(parts):
+        raise ValueError(f"{field}: expected {' '.join(k + '=' for k in keys)}")
+    return kv
+
+
+def _integer(field: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{field}: {text!r} is not an integer") from None
 
 
 def parse_family(text: str) -> Family:
-    parts = text.split()
-    name = parts[0]
-    kv = dict(part.split("=", 1) for part in parts[1:])
-    if name == "kbonacci":
-        return Family(name, (int(kv["k"]),))
-    if name == "metallic":
-        return Family(name, (int(kv["m"]),))
-    if name == "metallic-pisa":
-        return Family(name, (int(kv["k"]), int(kv["m"])))
-    return Family(name)
+    """Inverse of `Family.label`."""
+    if not text.split():
+        raise ValueError("family: no family name")
+    name, *parts = text.split()
+    names = _spec(name).params
+    kv = _key_values(f"family {name}", parts, names)
+    return Family(name, tuple(_integer(f"family {name} {n}", kv[n]) for n in names))
 
 
 @dataclass(frozen=True)
@@ -317,70 +390,10 @@ class Certificate:
     step_table: dict[tuple[str, int], str] = field(compare=False)
 
 
-def _fibonacci_tables():
-    imgs = {"a": "ab", "b": "a"}
-    base = {1: ("a", "ab", "aab")}
-    step = {(s, d): "aba" for s in ("ab", "ba") for d in (0, 1)}
-    return imgs, base, step
-
-
-def _tribonacci_tables():
-    imgs = {"a": "ab", "b": "ac", "c": "a"}
-    base = {1: ("a", "ba", "abac")}
-    chosen = {"ab": "abac", "ba": "acab", "ac": "aba", "ca": "aba"}
-    step = {(s, d): chosen[s] for s in chosen for d in (0, 1)}
-    return imgs, base, step
-
-
-def _metallic_tables(m: int):
-    imgs = {"a": "a" * m + "b", "b": "a"}
-    filler = ("a" * m + "b")
-    base = {}
-    for j in range(1, m + 1):
-        e0 = ("a" * j + "b" + "a" * (m - j)) + filler * (m - 1) + "a"
-        base[j] = ("a" * j, "b" + "a" * m, e0)
-    step = {}
-    for i in range(m + 1):
-        s = "a" * i + "b" + "a" * (m - i)
-        for j in range(m + 1):
-            if i >= 1:
-                r = ("a" * j + "b" + "a" * (m - j)) + filler * (i - 1) \
-                    + "a" + filler * (m - i)
-            elif j >= 1:
-                r = "a" + ("a" * (j - 1) + "b" + "a" * (m - j + 1)) \
-                    + filler * (m - 1)
-            else:
-                r = "a" + ("b" + "a" * m) + filler * (m - 1)
-            step[(s, j)] = r
-    return imgs, base, step
-
-
-_CONSTRUCTIVE = {"fibonacci", "tribonacci", "metallic"}
-
-
-def _normalize_family(family: Family) -> Family:
-    if family.name == "kbonacci":
-        if family.params[0] == 2:
-            return Family("fibonacci")
-        if family.params[0] == 3:
-            return Family("tribonacci")
-    if family.name == "metallic-pisa" and family.params[0] == 2:
-        return Family("metallic", (family.params[1],))
-    return family
-
-
-def _tables_for(family: Family):
-    if family.name == "fibonacci":
-        return _fibonacci_tables()
-    if family.name == "tribonacci":
-        return _tribonacci_tables()
-    return _metallic_tables(family.params[0])
-
-
 def certify(sub: RandomSubstitution, family: Family, w: str) -> Certificate:
     """Build the constructive semi-mixing certificate for a legal word."""
-    normalized = _normalize_family(family)
-    if normalized.name not in _CONSTRUCTIVE:
+    normalized = _FAMILIES[family.name].alias(*family.params) or family
+    if _FAMILIES[normalized.name].tables is None:
         raise UnsupportedFamilyError(
             f"constructive certificates cover fibonacci, tribonacci and "
             f"metallic families only; {family.label()} has the empirical "
@@ -401,7 +414,8 @@ def certify(sub: RandomSubstitution, family: Family, w: str) -> Certificate:
     scheme = normalized.scheme()
     lead_position = scheme.base_index + level - 2
     n0 = scheme.term(lead_position)
-    imgs, base_table, step_table = _tables_for(normalized)
+    imgs, base_table, step_table = _FAMILIES[normalized.name].tables(
+        *normalized.params)
     seeds = normalized.seed_words()
     return Certificate(
         family=normalized,
@@ -600,6 +614,8 @@ def certificate_report(cert: Certificate) -> str:
 
 
 def parse_certificate(text: str) -> Certificate:
+    """Inverse of `certificate_report`; ValueError names the first missing
+    or malformed field."""
     fields: dict[str, str] = {}
     letter_images: dict[str, str] = {}
     base_table: dict[int, tuple[str, str, str]] = {}
@@ -614,25 +630,30 @@ def parse_certificate(text: str) -> Certificate:
             letter, _, image = value.partition("->")
             letter_images[letter.strip()] = image.strip()
         elif key == "base":
-            kv = dict(part.split("=", 1) for part in value.split())
-            base_table[int(kv["digit"])] = (kv.get("u", ""), kv["s"], kv["e"])
+            kv = _key_values(key, value.split(), ("digit", "u", "s", "e"))
+            base_table[_integer("base digit", kv["digit"])] = (
+                kv["u"], kv["s"], kv["e"])
         elif key == "step":
-            kv = dict(part.split("=", 1) for part in value.split())
-            step_table[(kv["seed"], int(kv["digit"]))] = kv["word"]
+            kv = _key_values(key, value.split(), ("seed", "digit", "word"))
+            step_table[(kv["seed"], _integer("step digit", kv["digit"]))] = kv["word"]
         else:
             fields[key] = value
+    for key in ("family", "source", "level", "w_prime", "lead_position", "n0",
+                "threshold", "seeds"):
+        if not fields.get(key):
+            raise ValueError(f"certificate has no {key}: value")
     family = parse_family(fields["family"])
     seeds = tuple(fields["seeds"].split())
     return Certificate(
         family=family,
         source=fields["source"],
-        level=int(fields["level"]),
+        level=_integer("level", fields["level"]),
         w_prime=fields["w_prime"],
         x=fields.get("x", ""),
         y=fields.get("y", ""),
-        lead_position=int(fields["lead_position"]),
-        n0=int(fields["n0"]),
-        threshold=int(fields["threshold"]),
+        lead_position=_integer("lead_position", fields["lead_position"]),
+        n0=_integer("n0", fields["n0"]),
+        threshold=_integer("threshold", fields["threshold"]),
         seeds=seeds,
         seed_length=len(seeds[0]),
         letter_images=letter_images,

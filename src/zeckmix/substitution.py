@@ -73,34 +73,28 @@ def make_substitution(rule, alphabet=None, label="") -> RandomSubstitution:
 
 
 def random_fibonacci() -> RandomSubstitution:
-    return make_substitution({"a": ("ab", "ba"), "b": ("a",)}, label="fibonacci")
+    return _metallic_pisa(2, 1, "fibonacci")
 
 
 def random_tribonacci() -> RandomSubstitution:
-    return make_substitution(
-        {"a": ("ab", "ba"), "b": ("ac", "ca"), "c": ("a",)}, label="tribonacci"
-    )
+    return _metallic_pisa(3, 1, "tribonacci")
 
 
 def random_kbonacci(k: int) -> RandomSubstitution:
-    if not 2 <= k <= 26:
-        raise ValueError("k must be between 2 and 26")
-    letters = string.ascii_lowercase[:k]
-    rule = {}
-    for i in range(k - 1):
-        rule[letters[i]] = (letters[0] + letters[i + 1], letters[i + 1] + letters[0])
-    rule[letters[-1]] = (letters[0],)
-    return make_substitution(rule, letters, label=f"{k}-bonacci")
+    return _metallic_pisa(k, 1, f"{k}-bonacci")
 
 
 def random_metallic(m: int) -> RandomSubstitution:
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    images = tuple("a" * i + "b" + "a" * (m - i) for i in range(m + 1))
-    return make_substitution({"a": images, "b": ("a",)}, label=f"metallic-{m}")
+    return _metallic_pisa(2, m, f"metallic-{m}")
 
 
 def metallic_pisa(k: int, m: int) -> RandomSubstitution:
+    """a_i -> {a_1^j a_{i+1} a_1^(m-j)} for i < k and a_k -> a_1; every
+    built-in family is an instance (fibonacci is k=2, m=1)."""
+    return _metallic_pisa(k, m, f"metallic-pisa-{k}-{m}")
+
+
+def _metallic_pisa(k: int, m: int, label: str) -> RandomSubstitution:
     if not 2 <= k <= 26 or m < 1:
         raise ValueError("need 2 <= k <= 26 and m >= 1")
     letters = string.ascii_lowercase[:k]
@@ -111,7 +105,7 @@ def metallic_pisa(k: int, m: int) -> RandomSubstitution:
             a1 * j + letters[i + 1] + a1 * (m - j) for j in range(m + 1)
         )
     rule[letters[-1]] = (a1,)
-    return make_substitution(rule, letters, label=f"metallic-pisa-{k}-{m}")
+    return make_substitution(rule, letters, label=label)
 
 
 def apply(sub: RandomSubstitution, w: str, guard: int = DEFAULT_SET_GUARD) -> set[str]:

@@ -9,6 +9,8 @@ import pytest
 from oracles import single_positive_root_decimals
 
 from zeckmix.cli import main
+from zeckmix.semimixing import Family, certificate_report, certify
+from zeckmix.substitution import random_fibonacci
 
 
 def run_cli(argv):
@@ -79,14 +81,18 @@ def test_subst_pisot_kbonacci_correctly_rounded(k, expected):
     assert "pisot: true" in out
 
 
-def test_cli_import_loads_no_numpy():
+def src_env():
+    """The environment with this checkout's `src` first on PYTHONPATH."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
+def test_cli_import_loads_no_numpy():
     result = subprocess.run(
         [sys.executable, "-c",
          "import zeckmix.cli, sys; assert 'numpy' not in sys.modules"],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=src_env(), capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
 
@@ -173,6 +179,34 @@ def test_exit_code_2_on_bad_parameters():
     code, _, err = run_cli(["zeck", "encode", "--family", "metallic", "7"])
     assert code == 2
     assert "reason: invalid-input" in err
+
+
+@pytest.mark.parametrize("prefix, replacement, field", [
+    ("family:", None, "family"),
+    ("level:", None, "level"),
+    ("family:", "family: kbonacci", "k="),
+    ("family:", "family:", "family"),
+    ("seeds:", "seeds:", "seeds"),
+    ("step:", "step: seed=ab word=aba", "digit="),
+    ("family:", "family: metallic m=3 k=9", "m="),
+])
+def test_malformed_certificate_exits_2(tmp_path, prefix, replacement, field):
+    # each case edits one line of a good certificate
+    lines = certificate_report(
+        certify(random_fibonacci(), Family("fibonacci"), "a")).splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    lines[i:i + 1] = [] if replacement is None else [replacement]
+    cert_path = tmp_path / "cert.txt"
+    cert_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "zeckmix.cli", "semimix", "verify",
+         "--cert", str(cert_path)],
+        env=src_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 2, result.stderr
+    assert "reason: invalid-input" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert field in result.stderr.splitlines()[0]
 
 
 def test_determinism_byte_identical():

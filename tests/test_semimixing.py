@@ -34,6 +34,7 @@ from zeckmix.substitution import (
     build_dag,
     make_substitution,
     random_fibonacci,
+    random_kbonacci,
     random_metallic,
     random_tribonacci,
 )
@@ -419,6 +420,14 @@ def test_certify_normalizes_small_kbonacci():
     assert cert.family == FIB
     cert = certify(random_tribonacci(), Family("kbonacci", (3,)), "a")
     assert cert.family == TRIB
+    for m in (1, 2, 3):
+        cert = certify(random_metallic(m), Family("metallic-pisa", (2, m)), "a")
+        assert certificate_report(cert).splitlines()[1] == f"family: metallic m={m}"
+    # the same rules under a family with no alias stay uncertified
+    with pytest.raises(UnsupportedFamilyError):
+        certify(random_kbonacci(4), Family("kbonacci", (4,)), "a")
+    with pytest.raises(UnsupportedFamilyError):
+        certify(random_tribonacci(), Family("metallic-pisa", (3, 1)), "a")
 
 
 def test_fault_injection_detected():
@@ -486,3 +495,61 @@ def test_parse_family():
     assert parse_family("metallic-pisa k=3 m=2") == Family("metallic-pisa", (3, 2))
     with pytest.raises(UnsupportedFamilyError):
         parse_family("golden")
+    for text, field in [("", "family"), ("kbonacci", "k="),
+                        ("metallic m=3 k=9", "m="), ("metallic m=x", "m")]:
+        with pytest.raises(ValueError, match=field):
+            parse_family(text)
+
+
+FAMILY_GRID = (
+    [(Family("fibonacci"), 2, 1), (Family("tribonacci"), 3, 1)]
+    + [(Family("kbonacci", (k,)), k, 1) for k in range(2, 6)]
+    + [(Family("metallic", (m,)), 2, m) for m in range(1, 4)]
+    + [(Family("metallic-pisa", (k, m)), k, m)
+       for k in range(2, 5) for m in range(1, 4)]
+)
+
+
+@pytest.mark.parametrize("family, k, m", FAMILY_GRID,
+                         ids=[f.label() for f, _, _ in FAMILY_GRID])
+def test_family_table_is_metallic_pisa(family, k, m):
+    from zeckmix.cli import _family_from_args, build_parser
+    from zeckmix.numeration import metallic_pisa_recurrence
+    from zeckmix.substitution import metallic_pisa
+
+    sub, ref = family.substitution(), metallic_pisa(k, m)
+    assert (sub.alphabet, sub.rule) == (ref.alphabet, ref.rule)
+    scheme, rec = family.scheme(), metallic_pisa_recurrence(k, m)
+    assert scheme.recurrence.coefficients == rec.coefficients
+    assert scheme.recurrence.initial_terms == rec.initial_terms
+    assert parse_family(family.label()) == family
+    assert scheme.descriptor() == f"family={family.label()} base_index={k - 1}"
+    name, *pairs = family.label().split()
+    flags = [x for pair in pairs for x in ("--" + pair).split("=")]
+    args = build_parser().parse_args(["zeck", "encode", "--family", name, *flags, "1"])
+    assert _family_from_args(args) == family
+
+
+def test_no_family_name_dispatch_in_library():
+    # family facts live in semimixing's family table; comparing a value
+    # against a family name outside it would start a second dispatch chain
+    import ast
+    from pathlib import Path
+
+    names = set(semimixing._FAMILIES)
+    found = []
+    for path in sorted(Path(semimixing.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn))
+                    for op in node.ops):
+                operands = [node.left, *node.comparators]
+            elif isinstance(node, ast.MatchValue):
+                operands = [node.value]
+            else:
+                continue
+            for operand in operands:
+                for const in ast.walk(operand):
+                    if isinstance(const, ast.Constant) and const.value in names:
+                        found.append(f"{path.name}:{node.lineno}")
+    assert found == []
