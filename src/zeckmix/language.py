@@ -22,6 +22,24 @@ positions left to right.  Every field is a bitset over positions of u, and
 node, so composing a child costs a shift and an AND per length.  A
 constant-length rule has one length per node, so its state is linear in |u|.
 
+One search decides a whole batch of patterns, in the bit-parallel manner
+of shift-and string matching (Baeza-Yates and Gonnet, CACM 1992).  Each
+pattern owns a lane of every bitset: size + 1 bits for its positions
+0..size, then one guard bit, which stays zero everywhere but in `occurs`,
+where it carries the lane's verdict.  The constants of a one-pattern kernel
+(the full bit and the suffix-prefix mask of bits 1..size-1) become masks
+with one copy per lane.  The lanes never mix, because every shift stays
+inside its lane: a start bit i for an element of length L exists only when
+i + L <= size, so shifting it left by L ends at the full bit at most, and a
+right shift by L is always ANDed with start bits of length L, which pick
+bits of their own lane.  A lane is nonzero exactly when adding its all-ones
+data mask carries into its guard bit; that is how a straddle match sets
+`occurs` lane by lane.  Each lane therefore holds the bits a search of its
+pattern alone computes, and a search of one pattern is the one-lane case.
+A batch iterates levels until every lane has fired or the vector of the
+lanes still searching repeats; each lane reports the level at which it
+fired, or at which a search of it alone would have stopped.
+
 Patterns may contain '?' wildcards (each matching any single letter); the
 same machinery then decides whether any concrete completion of the pattern
 is legal, and a witness occurrence is reconstructed from the profiles.
@@ -35,6 +53,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import GuardExceededError
 from .substitution import DEFAULT_SET_GUARD, RandomSubstitution, apply_to_set
@@ -42,8 +61,8 @@ from .substitution import DEFAULT_SET_GUARD, RandomSubstitution, apply_to_set
 WILDCARD = "?"
 _LEVEL_SAFETY_CAP = 4096
 
-# (substitution, extraction memo) of the `_shared_extraction` block running
-# in this thread or task; None outside one
+# the `_Block` of the `_shared_extraction` block running in this thread or
+# task; None outside one
 _SHARED_MEMO: ContextVar = ContextVar("zeckmix_shared_memo", default=None)
 
 
@@ -63,55 +82,83 @@ def _matches(pattern: str, word: str, offset: int = 0) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# match profiles
+# match profiles, one lane per pattern
 
 
-def _leaf_profiles(sub, pattern):
-    """Level-0 profiles: each node is the single-letter word itself."""
-    size = len(pattern)
+class _Bits(dict):
+    """A translation table that spells every character it lacks as '0'."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        return "0"
+
+
+@lru_cache(maxsize=64)
+def _bit_tables(alphabet):
+    """Per letter x, the table spelling x and '?' as '1', all else as '0'."""
+    zeros = dict.fromkeys(map(ord, alphabet), "0")
+    return tuple(
+        _Bits({**zeros, ord(x): "1", ord(WILDCARD): "1"})
+        for x in alphabet
+    )
+
+
+def _leaf_profiles(sub, text, ones, full, single):
+    """Level-0 profiles: each node is the single-letter word itself.
+
+    `text` spells every lane most significant bit first: two '?' for the
+    guard and full bits, then the pattern reversed.  `ones` holds the lowest
+    bit of every lane, `single` that of every lane of a one-letter pattern,
+    and `full` the full bit of every lane."""
+    body = full - ones                  # the bits of pattern positions
+    multi = ones ^ single
+    last = full >> 1
     out = {}
-    for x in sub.alphabet:
-        starts = 0
-        for i, p in enumerate(pattern):
-            if p == WILDCARD or p == x:
-                starts |= 1 << i
-        occurs = size == 1 and bool(starts)
-        sp = 1 << 1 if size >= 2 and starts & 1 else 0
-        ps = 1 << size | (starts & 1 << (size - 1))
-        out[x] = (occurs, sp, ps, ((1, starts),) if starts else ())
+    for x, table in zip(sub.alphabet, _bit_tables(sub.alphabet)):
+        starts = int(text.translate(table), 2) & body
+        out[x] = ((starts & single) << 2, (starts & multi) << 1,
+                  full | (starts & last), ((1, starts),) if starts else ())
     return out
 
 
-def _compose_alternative(pattern_len, image, prev):
+def _compose_alternative(masks, image, prev):
     """Profile of one realisation (a concatenation of level-(n-1) nodes).
 
     Its full spans come back as a dict from element length to start bitset.
     """
-    size = pattern_len
-    full_bit = 1 << size
-    sp_mask = (1 << size) - 2          # bits 1 .. size-1
-    occurs = False
+    full, sp_mask, data, guards = masks
+    occurs = 0
 
     # forward reachable-progress pass: bit q says the last q characters of
     # the concatenation so far equal pattern[:q]; a child element of length
-    # L starting at q moves progress q to q + L
-    reach = 1
+    # L starting at q moves progress q to q + L.  Progress 0 needs no bit: a
+    # child that starts the pattern and ends at q < size holds q in its sp,
+    # and one that holds the whole pattern has its own `occurs` set
+    reach = 0
     for c in image:
         occ_c, sp_c, ps_c, spans_c = prev[c]
-        if occ_c or (reach & ps_c):
-            occurs = True
+        if occ_c:
+            occurs |= occ_c
+        if not reach:
+            reach = sp_c
+            continue
+        hit = reach & ps_c
+        if hit:
+            occurs |= (hit + data) & guards
         cont = 0
         for length, starts in spans_c:
             cont |= (reach & starts) << length
-        if cont & full_bit:
-            occurs = True
-        reach = (cont & ~full_bit) | 1 | sp_c
+        done = cont & full
+        if done:
+            occurs |= done << 1
+        reach = (cont ^ done) | sp_c
     sp = reach & sp_mask
 
     # backward pass: bit p says pattern[p:] is a prefix of the remaining
     # concatenation; a child element of length L starting at p extends
     # p + L to p
-    back = full_bit
+    back = full
     for c in reversed(image):
         _, _, ps_c, spans_c = prev[c]
         pre = 0
@@ -137,14 +184,14 @@ def _compose_alternative(pattern_len, image, prev):
     return occurs, sp, ps, spans
 
 
-def _next_profiles(sub, pattern_len, prev):
+def _next_profiles(sub, masks, prev):
     out = {}
     for a in sub.alphabet:
-        occurs, sp, ps = False, 0, 0
-        spans = {}
-        for image in sub.rule[a]:
-            o, s, p, f = _compose_alternative(pattern_len, image, prev)
-            occurs = occurs or o
+        first, *others = sub.rule[a]
+        occurs, sp, ps, spans = _compose_alternative(masks, first, prev)
+        for image in others:
+            o, s, p, f = _compose_alternative(masks, image, prev)
+            occurs |= o
             sp |= s
             ps |= p
             for length, starts in f.items():
@@ -153,35 +200,118 @@ def _next_profiles(sub, pattern_len, prev):
     return out
 
 
-def _profile_state(sub, profiles):
-    return tuple(profiles[a] for a in sub.alphabet)
+def _profile_state(profiles):
+    """The profiles in alphabet order, the order every profile dict has."""
+    return tuple(profiles.values())
 
 
-def _pattern_search(sub, pattern, stop_letters=None, min_level=0):
-    """Iterate profile levels until `occurs` fires at a stop letter at some
-    level >= min_level, or every state of the (eventually periodic) profile
-    vector has been checked at a level >= min_level.
-    Returns (found, level, letter, profiles-per-level).
+def _keep(profiles, keep):
+    """The profiles with every bit outside `keep` cleared."""
+    return {
+        a: (occ & keep, sp & keep, ps & keep,
+            tuple((length, s & keep) for length, s in spans if s & keep))
+        for a, (occ, sp, ps, spans) in profiles.items()
+    }
+
+
+class _LaneHistory(dict):
+    """The per-level profiles of one lane of a batched search, each level
+    projected out of the packed history by `(bits >> shift) & mask` when
+    first read."""
+
+    __slots__ = ("packed", "shift", "mask")
+
+    def __init__(self, packed, shift, mask):
+        self.packed, self.shift, self.mask = packed, shift, mask
+
+    def __missing__(self, level):
+        shift, mask = self.shift, self.mask
+        got = self[level] = {
+            a: (occ >> shift & mask, sp >> shift & mask, ps >> shift & mask,
+                tuple((length, s >> shift & mask) for length, s in spans
+                      if s >> shift & mask))
+            for a, (occ, sp, ps, spans) in self.packed[level].items()
+        }
+        return got
+
+
+def _last_level(history, min_level):
+    """The level at which a search of this lane's pattern alone stops with
+    no match: its profile vector first repeats at some level, and one full
+    period at or above min_level is checked."""
+    first_seen = {}
+    level = 0
+    while True:
+        start = first_seen.setdefault(_profile_state(history[level]), level)
+        if start < level:
+            return max(level, min_level + level - 1 - start)
+        level += 1
+
+
+def _pattern_search(sub, patterns, stop_letters=None, min_level=0):
+    """Search every pattern of the batch at once, one lane each.
+
+    Levels are iterated until every lane's `occurs` has fired at a stop
+    letter at some level >= min_level, or every state of the (eventually
+    periodic) vector of the lanes still searching has been checked at a
+    level >= min_level.  That vector repeats only where the vector of each
+    of its lanes repeats, with a period that is a multiple of the lane's,
+    so each lane has been checked at least as far as a search of its
+    pattern alone would check it.  Returns one (found, level, letter,
+    history) per pattern, equal to what that search returns: a lane that
+    never fired gets its stopping level from `_last_level`, and the history
+    of a lane of a larger batch is a `_LaneHistory`.  Lanes whose periods
+    together outrun the level cap are searched alone.
     """
-    if not pattern:
+    if not all(patterns):
         raise ValueError("pattern must be non-empty")
     if stop_letters is None:
         stop_letters = sub.alphabet
-    profiles = _leaf_profiles(sub, pattern)
+    lane_start = {}     # guard bit position + 1 -> the lane's lowest bit
+    ones = full = single = offset = 0
+    for pattern in patterns:
+        size = len(pattern)
+        lane_start[offset + size + 2] = offset
+        ones |= 1 << offset
+        full |= 1 << offset + size
+        if size == 1:
+            single |= 1 << offset
+        offset += size + 2
+    guards = full << 1
+    masks = (full, full - (ones << 1), guards - ones, guards)
+    text = "".join(["??" + pattern[::-1] for pattern in reversed(patterns)])
+
+    profiles = _leaf_profiles(sub, text, ones, full, single)
     history = [profiles]
-    first_seen = {_profile_state(sub, profiles): 0}
+    first_seen = {_profile_state(profiles): 0}
     last_level = None   # known once the vector revisits a state
+    live = guards       # the guard bit of every lane still searching
+    fired = {}          # guard bit position + 1 -> (level, letter)
     level = 0
     while True:
         if level >= min_level:
+            dead = 0
             for a in stop_letters:
-                if profiles[a][0]:
-                    return True, level, a, history
-            if last_level is not None and level >= last_level:
-                return False, level, None, history
-        nxt = _next_profiles(sub, len(pattern), profiles)
+                hit = profiles[a][0] & live
+                if hit:
+                    live ^= hit
+                    while hit:
+                        low = hit & -hit
+                        hit ^= low
+                        key = low.bit_length()
+                        fired[key] = (level, a)
+                        dead |= (low << 1) - (1 << lane_start[key])
+            if not live or last_level is not None and level >= last_level:
+                break
+            if dead:
+                # the lanes that fired are cleared and stay zero, so the
+                # repeat test below watches the searching lanes only
+                masks = tuple(m & ~dead for m in masks)
+                profiles = _keep(profiles, ~dead)
+                first_seen.setdefault(_profile_state(profiles), level)
+        nxt = _next_profiles(sub, masks, profiles)
         if last_level is None:
-            start = first_seen.setdefault(_profile_state(sub, nxt), level + 1)
+            start = first_seen.setdefault(_profile_state(nxt), level + 1)
             if start <= level:
                 # levels start..level repeat with period level + 1 - start:
                 # one full period checked at or above min_level settles it
@@ -190,7 +320,27 @@ def _pattern_search(sub, pattern, stop_letters=None, min_level=0):
         history.append(profiles)
         level += 1
         if level > _LEVEL_SAFETY_CAP:
-            raise GuardExceededError("profile iteration exceeded the level cap")
+            if len(patterns) == 1:
+                raise GuardExceededError("profile iteration exceeded the level cap")
+            break
+
+    if len(patterns) == 1:
+        got = fired.get(len(patterns[0]) + 2)
+        return [(True, *got, history) if got else (False, level, None, history)]
+    results = []
+    for (key, shift), pattern in zip(lane_start.items(), patterns):
+        got = fired.get(key)
+        lane = _LaneHistory(history, shift, (4 << len(pattern)) - 1)
+        if got is not None:
+            results.append((True, *got, lane))
+        elif level > _LEVEL_SAFETY_CAP:
+            # lanes of different periods can make the batch's vector repeat
+            # later than any lane's own; such a lane is searched alone
+            results.append(_pattern_search(sub, [pattern], stop_letters,
+                                           min_level)[0])
+        else:
+            results.append((False, _last_level(lane, min_level), None, lane))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +411,13 @@ class _Extractor:
     A memo may therefore serve many patterns, but only of one substitution,
     and it belongs to one call of a public operation (`pattern_witness`,
     `is_legal`, or a whole `check_empirical` via `_shared_extraction`).
+
+    `history` is the pattern's lane of a profile search, level by level:
+    the list a one-lane search keeps, or a `_LaneHistory` projecting the
+    lane out of a batch.  Every shift of the kernel stays inside its lane
+    (see the module docstring), so the projection holds the very profiles
+    a one-lane search computes, guard bit included, and an extraction reads
+    the same bits, and builds the same witness, from either.
     """
 
     def __init__(self, sub, pattern, history, memo):
@@ -519,6 +676,18 @@ class LegalityVerdict:
         return self.legal
 
 
+def _search(sub, pattern, stop_letters=None, min_level=0):
+    """(found, level, letter, history) for one pattern: its lane of the
+    enclosing `_shared_extraction` block's batches, else a one-lane search."""
+    shared = _SHARED_MEMO.get()
+    if (shared is not None and shared.sub is sub and stop_letters is None
+            and min_level == 0):
+        got = shared.searched.get(pattern)
+        if got is not None:
+            return got
+    return _pattern_search(sub, [pattern], stop_letters, min_level)[0]
+
+
 def is_legal(sub: RandomSubstitution, u: str, want_witness: bool = True) -> LegalityVerdict:
     """Exact legality of a concrete word (no wildcards)."""
     if not u:
@@ -527,7 +696,7 @@ def is_legal(sub: RandomSubstitution, u: str, want_witness: bool = True) -> Lega
         raise ValueError("wildcards are not allowed here")
     if not set(u) <= set(sub.alphabet):
         return LegalityVerdict(False, None, 0, True)
-    found, level, letter, history = _pattern_search(sub, u)
+    found, level, letter, history = _search(sub, u)
     if not found:
         return LegalityVerdict(False, None, level, True)
     witness = None
@@ -544,13 +713,11 @@ def pattern_witness(sub: RandomSubstitution, pattern: str,
     """Decide whether some concrete completion of `pattern` is legal and, if
     so, extract (matched_word, level, letter, element, start).
     """
-    found, level, letter, history = _pattern_search(
-        sub, pattern, stop_letters=stop_letters, min_level=min_level
-    )
+    found, level, letter, history = _search(sub, pattern, stop_letters, min_level)
     if not found:
         return None
     shared = _SHARED_MEMO.get()
-    memo = shared[1] if shared is not None and shared[0] is sub else {}
+    memo = shared.memo if shared is not None and shared.sub is sub else {}
     extractor = _Extractor(sub, pattern, history, memo)
     element, start = extractor.occurrence(letter, level)
     matched = element[start:start + len(pattern)]
@@ -558,15 +725,40 @@ def pattern_witness(sub: RandomSubstitution, pattern: str,
     return matched, level, letter, element, start
 
 
+class _Block:
+    """One `_shared_extraction` block: its extraction memo and the lanes of
+    the batches searched in it, by pattern."""
+
+    __slots__ = ("sub", "memo", "searched")
+
+    def __init__(self, sub):
+        self.sub = sub
+        self.memo = {}
+        self.searched = {}
+
+    def search(self, patterns):
+        """Search, as one batch, the patterns not searched in this block yet."""
+        new = [p for p in dict.fromkeys(patterns) if p and p not in self.searched]
+        if new:
+            self.searched.update(zip(new, _pattern_search(self.sub, new)))
+
+
 @contextmanager
 def _shared_extraction(sub: RandomSubstitution):
-    """Within the block, `pattern_witness` calls on `sub` made by this thread
-    share one extraction memo, dropped when the block exits; the witnesses
-    are the same as without it (see `_Extractor`).  Other threads, and
-    calls on other substitutions, keep a fresh memo per call."""
-    token = _SHARED_MEMO.set((sub, {}))
+    """A block in which `pattern_witness` and `is_legal` calls on `sub` made
+    by this thread share work, which is dropped when the block exits.
+
+    The witness extractions share one memo, and the witnesses are the same
+    as without it (see `_Extractor`).  `search` on the yielded `_Block`
+    decides a batch of patterns in one lane-parallel search; a later call
+    with default keywords on one of those patterns reads its lane instead
+    of searching again.  A lane's verdict, level, letter and history are
+    those of a search of its pattern alone (see the module docstring), so
+    every answer is the same as without the block.  Other threads, and
+    calls on other substitutions, keep a fresh memo and search per call."""
+    token = _SHARED_MEMO.set(_Block(sub))
     try:
-        yield
+        yield _SHARED_MEMO.get()
     finally:
         _SHARED_MEMO.reset(token)
 

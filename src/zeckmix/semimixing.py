@@ -126,12 +126,13 @@ def _metallic_pisa_seeds(letters: str, k: int, m: int) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class _FamilySpec:
-    """A built-in family, an instance of metallic-Pisa(k, m).  Builders take
-    the parameters named in `params` (`seeds` takes the alphabet first);
+    """A built-in family, an instance of metallic-Pisa(k, m).  `params`
+    maps each parameter, in the order builders take them (`seeds` takes the
+    alphabet first), to its least and greatest value (None: unbounded);
     `tables` exists for the families `certify` covers, and `alias` names the
     covered family certified in place of this one."""
 
-    params: tuple[str, ...]
+    params: dict[str, tuple[int, int | None]]
     substitution: Callable[..., RandomSubstitution]
     scheme: Callable[..., NumerationScheme]
     seeds: Callable[..., tuple[str, ...]]
@@ -139,24 +140,28 @@ class _FamilySpec:
     alias: Callable[..., Family | None] = lambda *params: None
 
 
+# parameter ranges: a metallic-Pisa(k, m) rule spells its k letters a..z
+_K = (2, 26)
+_M = (1, None)
+
 # Builders are looked up when called, so wrappers installed on this module's
 # globals (zbench's tracer, test monkeypatches) see every call.
 _FAMILIES = {
     "fibonacci": _FamilySpec(
-        (), lambda: random_fibonacci(), lambda: fibonacci_scheme(),
+        {}, lambda: random_fibonacci(), lambda: fibonacci_scheme(),
         lambda letters: ("ab", "ba"), _fibonacci_tables),
     "tribonacci": _FamilySpec(
-        (), lambda: random_tribonacci(), lambda: tribonacci_scheme(),
+        {}, lambda: random_tribonacci(), lambda: tribonacci_scheme(),
         lambda letters: ("ab", "ba", "ac", "ca"), _tribonacci_tables),
     "kbonacci": _FamilySpec(
-        ("k",), lambda k: random_kbonacci(k), lambda k: kbonacci_scheme(k),
+        {"k": _K}, lambda k: random_kbonacci(k), lambda k: kbonacci_scheme(k),
         _kbonacci_seeds,
         alias=lambda k: {2: Family("fibonacci"), 3: Family("tribonacci")}.get(k)),
     "metallic": _FamilySpec(
-        ("m",), lambda m: random_metallic(m), lambda m: metallic_scheme(m),
+        {"m": _M}, lambda m: random_metallic(m), lambda m: metallic_scheme(m),
         _metallic_seeds, _metallic_tables),
     "metallic-pisa": _FamilySpec(
-        ("k", "m"), lambda k, m: metallic_pisa(k, m),
+        {"k": _K, "m": _M}, lambda k, m: metallic_pisa(k, m),
         lambda k, m: metallic_pisa_scheme(k, m), _metallic_pisa_seeds,
         alias=lambda k, m: Family("metallic", (m,)) if k == 2 else None),
 }
@@ -183,11 +188,16 @@ class Family:
     params: tuple[int, ...] = ()
 
     def __post_init__(self):
-        expected = len(_spec(self.name).params)
-        if len(self.params) != expected:
+        ranges = _spec(self.name).params
+        if len(self.params) != len(ranges):
             raise UnsupportedFamilyError(
-                f"family {self.name!r} takes {expected} parameter(s)"
+                f"family {self.name!r} takes {len(ranges)} parameter(s)"
             )
+        for (key, (least, most)), value in zip(ranges.items(), self.params):
+            if value < least or most is not None and value > most:
+                bound = (f"{key} >= {least}" if most is None
+                         else f"{least} <= {key} <= {most}")
+                raise ValueError(f"family {self.name!r} needs {bound}")
 
     def substitution(self) -> RandomSubstitution:
         return _FAMILIES[self.name].substitution(*self.params)
@@ -323,30 +333,39 @@ def check_empirical(sub: RandomSubstitution, seeds: SeedSet, w: str,
         )
     if not seeds.proper:
         raise ValueError("seed set must be validated as a proper subset")
-    for s in seeds.words:
-        if not is_legal(sub, s, want_witness=False).legal:
-            raise IllegalWordError(f"seed word {s!r} is not legal")
-    if not is_legal(sub, w, want_witness=False).legal:
-        raise IllegalWordError(f"source word {w!r} is not legal")
-    entries: list[WitnessEntry | None] = []
     # the gap patterns share their w- and s-side pieces, so their witness
-    # extractions share one memo, owned by this call
-    with _shared_extraction(sub):
+    # extractions share one memo, owned by this call; the legality checks,
+    # the gap patterns of the first seed and the replays of the witnesses
+    # are each searched as one batch
+    with _shared_extraction(sub) as block:
+        block.search((*seeds.words, w))
+        for s in seeds.words:
+            if not is_legal(sub, s, want_witness=False).legal:
+                raise IllegalWordError(f"seed word {s!r} is not legal")
+        if not is_legal(sub, w, want_witness=False).legal:
+            raise IllegalWordError(f"source word {w!r} is not legal")
+        block.search([w + "?" * n + seeds.words[0] for n in range(n_max + 1)])
+        found: list[tuple[str, str] | None] = []
         for n in range(n_max + 1):
-            entry = None
             for s in seeds.words:
                 hit = pattern_witness(sub, w + "?" * n + s)
-                if hit is None:
-                    continue
-                matched = hit[0]
-                u = matched[len(w):len(w) + n]
+                if hit is not None:
+                    found.append((hit[0][len(w):len(w) + n], s))
+                    break
+            else:
+                found.append(None)
+        block.search([w + u + s for u, s in filter(None, found)])
+        entries: list[WitnessEntry | None] = []
+        for n, hit in enumerate(found):
+            entry = None
+            if hit is not None:
+                u, s = hit
                 evidence = is_legal(sub, w + u + s, want_witness=False)
                 if not evidence.legal:
                     raise AssertionError(
                         "extracted witness failed independent replay"
                     )
                 entry = WitnessEntry(n, u, s, evidence)
-                break
             entries.append(entry)
     threshold = None
     for n in range(n_max, -1, -1):
@@ -549,39 +568,65 @@ def verify_certificate(cert: Certificate, ns, deep: bool = True) -> Verification
     for (s, digit), r in cert.step_table.items():
         if s not in seeds:
             return fail(-1, f"step seed {s!r} is not in the seed set")
-        if not in_image(sub, s, r):
+        if not set(s) <= set(sub.rule) or not in_image(sub, s, r):
             return fail(-1, f"step word {r!r} is not an image of {s!r}")
         if len(r) < digit + cert.seed_length:
             return fail(-1, f"step word {r!r} too short for digit {digit}")
         if r[digit:digit + cert.seed_length] not in seeds:
             return fail(-1, f"step ({s!r}, {digit}) yields a non-seed follower")
 
-    for n in ns:
+    def replay(n):
+        """The context w u s whose legality finishes the check of n, or
+        None and the reason the derivation for n fails."""
         try:
             u, s, steps = _derive_witness(cert, n, scheme)
         except (KeyError, ValueError) as exc:
-            return fail(n, f"derivation failed: {exc}")
+            return None, f"derivation failed: {exc}"
         if len(u) != n:
-            return fail(n, f"witness has length {len(u)}, expected {n}")
+            return None, f"witness has length {len(u)}, expected {n}"
         if s not in seeds:
-            return fail(n, f"witness seed {s!r} is not in the seed set")
+            return None, f"witness seed {s!r} is not in the seed set"
         scheme_digits = encode_greedy(scheme, n - len(cert.y)).digits
         running = []
         for step in steps:
             running.append(step.digit)
             if not step.element.startswith(step.word + step.seed):
-                return fail(n, f"prefix invariant broken at level {step.level}")
+                return None, f"prefix invariant broken at level {step.level}"
             expected_len = decode(DigitString(tuple(running), scheme))
             if len(step.word) != expected_len:
-                return fail(n, f"digit bookkeeping broken at level {step.level}")
+                return None, f"digit bookkeeping broken at level {step.level}"
         if tuple(running) != scheme_digits:
-            return fail(n, "derivation consumed the wrong digit string")
+            return None, "derivation consumed the wrong digit string"
         if deep and not _is_inflation_chain(sub, steps, base_alternatives):
-            return fail(n, "final element is not an inflation word of a")
-        verdict = is_legal(sub, cert.source + u + s, want_witness=False)
-        if not verdict.legal:
-            return fail(n, f"context {cert.source + u + s!r} is not legal")
-        checked += 1
+            return None, "final element is not an inflation word of a"
+        return cert.source + u + s, None
+
+    # every derivation is checked first, up to the first that fails, and
+    # the contexts they leave are then decided as one batch; the outcome is
+    # that of checking each n in turn, context included, since the contexts
+    # are read back in order and the first illegal one ends the replay
+    contexts = []
+    stop = None      # (n, reason), or the guard replaying n exceeded
+    for n in ns:
+        try:
+            context, reason = replay(n)
+        except GuardExceededError as exc:  # raised once the contexts before n pass
+            stop = exc
+            break
+        if context is None:
+            stop = (n, reason)
+            break
+        contexts.append((n, context))
+    with _shared_extraction(sub) as block:
+        block.search([context for _, context in contexts])
+        for n, context in contexts:
+            if not is_legal(sub, context, want_witness=False).legal:
+                return fail(n, f"context {context!r} is not legal")
+            checked += 1
+    if isinstance(stop, GuardExceededError):
+        raise stop
+    if stop is not None:
+        return fail(*stop)
     return VerificationOutcome(True, checked, None)
 
 

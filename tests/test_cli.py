@@ -161,6 +161,40 @@ def test_semimix_verify_counterexample(tmp_path):
     assert "counterexample:" in out
 
 
+def test_semimix_verify_foreign_seed_letter(tmp_path):
+    # a seed set and step table may name a letter the family lacks: the
+    # preamble reports it as a counterexample, in a fresh interpreter so
+    # that a traceback would show
+    lines = certificate_report(
+        certify(random_fibonacci(), Family("fibonacci"), "ab")).splitlines()
+    lines = [line + " zb" if line.startswith("seeds:") else line
+             for line in lines] + ["step: seed=zb digit=0 word=aba"]
+    cert_path = tmp_path / "cert.txt"
+    cert_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "zeckmix.cli", "semimix", "verify",
+         "--cert", str(cert_path)],
+        env=src_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 1, result.stderr
+    assert "Traceback" not in result.stderr
+    assert "verified: false" in result.stdout
+    assert ("counterexample: n=-1 step word 'aba' is not an image of 'zb'"
+            in result.stdout)
+
+
+@pytest.mark.parametrize("flags", [["--k", "30"], ["--k", "1"]])
+def test_family_parameter_range_is_checked_once(flags):
+    # every command that builds a family rejects the same parameters
+    outcomes = {run_cli([*cmd, "--family", "kbonacci", *flags, *rest])
+                for cmd, rest in ((["zeck", "encode"], ["100"]),
+                                  (["zeck", "decode"], ["101"]),
+                                  (["subst", "show"], []),
+                                  (["seq", "term"], ["5"]))}
+    assert outcomes == {(2, "", "error: family 'kbonacci' needs 2 <= k <= 26\n"
+                                "reason: invalid-input\n")}
+
+
 def test_exit_code_2_on_guard():
     code, _, err = run_cli(["subst", "inflate", "--family", "fibonacci",
                             "--letter", "a", "--level", "9", "--guard", "10"])

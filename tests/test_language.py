@@ -20,6 +20,7 @@ from zeckmix.substitution import (
     inflation_words,
     make_substitution,
     random_fibonacci,
+    random_kbonacci,
     random_metallic,
     random_tribonacci,
 )
@@ -298,13 +299,15 @@ def test_profiles_match_enumeration(rule, data, min_level):
     sub = make_substitution(rule)
     pattern = data.draw(st.text(alphabet="".join(sub.alphabet) + "?",
                                 min_size=1, max_size=6))
-    _, _, _, history = _pattern_search(sub, pattern, min_level=min_level)
+    _, _, _, history = _pattern_search(sub, [pattern], min_level=min_level)[0]
     for level, profiles in enumerate(history):
         for letter in sub.alphabet:
             try:
-                expect = enumerated_profile(sub, pattern, letter, level)
+                occurs, *bits = enumerated_profile(sub, pattern, letter, level)
             except GuardExceededError:
                 return
+            # a one-lane search keeps `occurs` in the guard bit above the lane
+            expect = (2 << len(pattern) if occurs else 0, *bits)
             assert profiles[letter] == expect, (pattern, letter, level)
 
 
@@ -327,6 +330,87 @@ def test_shared_extraction_memo_matches_fresh(rule, data, n_max):
         shared = [pattern_witness(sub, p) for p in patterns]
     for pattern, got in zip(patterns, shared):
         assert got == pattern_witness(sub, pattern), pattern
+
+
+BUILT_IN_RULES = [sub.rule for sub in (
+    random_fibonacci(), random_tribonacci(), random_metallic(2),
+    random_kbonacci(4),
+    make_substitution({"a": ("ab", "ba"), "b": ("ac", "ca"), "c": ("a", "aa")}),
+)]
+
+
+@st.composite
+def lane_batches(draw):
+    """A rule and a batch of patterns for it: wildcard patterns, factors of
+    an inflation word with some letters blanked or changed, and words that
+    leave the language or the alphabet."""
+    sub = make_substitution(draw(st.one_of(mixed_rules,
+                                           st.sampled_from(BUILT_IN_RULES))))
+    letters = "".join(sub.alphabet)
+    element = "a"
+    for _ in range(12):
+        if len(element) >= 120:
+            break
+        element = "".join(sub.rule[c][0] for c in element)
+    patterns = []
+    for _ in range(draw(st.integers(1, 6))):
+        size = draw(st.integers(1, 60))
+        if draw(st.booleans()):
+            pattern = draw(st.text(alphabet=letters + "?", min_size=size,
+                                   max_size=size))
+        else:
+            start = draw(st.integers(0, max(0, len(element) - size)))
+            chars = list(element[start:start + size])
+            for _ in range(draw(st.integers(0, 3))):
+                i = draw(st.integers(0, len(chars) - 1))
+                chars[i] = draw(st.sampled_from(letters + "?x"))
+            pattern = "".join(chars)
+        patterns.append(pattern)
+    stop = draw(st.one_of(st.none(), st.lists(st.sampled_from(letters),
+                                              min_size=1, unique=True)))
+    return sub, patterns, stop, draw(st.integers(0, 4))
+
+
+@given(lane_batches())
+@settings(max_examples=300, deadline=None)
+def test_lanes_match_one_lane_searches(batch):
+    # every lane of a batched search answers as the search of its pattern
+    # alone: verdict, level, letter, and the history projected out of the
+    # packed one; the one-lane history is a plain list of levels
+    sub, patterns, stop, min_level = batch
+    try:
+        alone = [_pattern_search(sub, [p], stop, min_level)[0] for p in patterns]
+    except GuardExceededError:
+        return
+    lanes = _pattern_search(sub, patterns, stop, min_level)
+    assert len(lanes) == len(patterns)
+    for pattern, lane, one in zip(patterns, lanes, alone):
+        assert lane[:3] == one[:3], pattern
+        assert isinstance(one[3], list)
+        assert [lane[3][level] for level in range(len(one[3]))] == one[3], pattern
+
+
+def test_lanes_of_different_periods_finish():
+    # four letter cycles of lengths 7, 8, 9 and 11: the pattern xx never
+    # occurs, and its lane repeats with the period of x's cycle, so the
+    # batch's vector repeats only after 5,544 levels, past the level cap,
+    # while each pattern alone stops after one period
+    cycles = ["0123456", "789ABCDE", "FGHIJKLMN", "OPQRSTUVWXY"]
+    sub = make_substitution({x: (c[(i + 1) % len(c)],)
+                             for c in cycles for i, x in enumerate(c)})
+    patterns = [c[0] * 2 for c in cycles] + ["4", "5?"]
+    alone = [_pattern_search(sub, [p])[0] for p in patterns]
+    assert [one[:3] for one in alone] == [
+        (False, 7, None), (False, 8, None), (False, 9, None),
+        (False, 11, None), (True, 0, "4"), (False, 7, None)]
+    lanes = _pattern_search(sub, patterns)
+    for lane, one in zip(lanes, alone):
+        assert lane[:3] == one[:3]
+        assert [lane[3][level] for level in range(len(one[3]))] == one[3]
+    # negative lanes of equal period share the batch's repeat
+    lanes = _pattern_search(sub, ["00", "11", "6?", "0"])
+    assert [lane[:3] for lane in lanes] == [
+        (False, 7, None), (False, 7, None), (False, 7, None), (True, 0, "0")]
 
 
 @given(rule=mixed_rules, n=st.integers(min_value=2, max_value=4))

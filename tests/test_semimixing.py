@@ -121,27 +121,40 @@ def test_check_empirical_keyword_edges():
 
 
 def test_check_empirical_shared_across_threads():
-    # one substitution and seed set per rule, used by every thread at once:
-    # each call's extraction memo is its own and is dropped when the call
-    # returns, and every report is the one a serial run gives
+    # one substitution, seed set and certificate per job, used by every
+    # thread at once: each call's extraction memo and batch table are its
+    # own and are dropped when the call returns, and every outcome is the
+    # one a serial run gives
     custom = make_substitution(
         {"a": ("ab", "ba"), "b": ("ac", "ca"), "c": ("a", "aa")})
     fib = random_fibonacci()
-    jobs = [(fib, seed_sets(FIB, fib), "a", 40),
-            (custom, make_seed_set(custom, ("ab", "ba")), "ab", 12)]
-    serial = [check_empirical(*job).to_report() for job in jobs]
+    cert = certify(fib, FIB, "ab")
+    bad = corrupt_step(cert, "ab", 0, "abb")
+    deep_ns = range(cert.threshold, cert.threshold + 40)
+    jobs = [
+        lambda: check_empirical(fib, seed_sets(FIB, fib), "a", 40).to_report(),
+        lambda: check_empirical(
+            custom, make_seed_set(custom, ("ab", "ba")), "ab", 12).to_report(),
+        lambda: verify_certificate(cert, deep_ns, deep=True),
+        lambda: verify_certificate(bad, range(bad.threshold, bad.threshold + 8)),
+    ]
+    serial = [job() for job in jobs]
+    assert serial[2].ok and serial[2].checked == 40
+    assert not serial[3].ok
     n_threads = 4
     start = threading.Barrier(n_threads, timeout=60)
-    reports = [None] * n_threads
+    outcomes = [None] * n_threads
     errors = []
 
     def work(k):
         try:
             start.wait()
-            reports[k] = [check_empirical(*job).to_report()
-                          for job in jobs[k % 2:] + jobs[:k % 2]]
-            # the memo went with the call
-            assert language._SHARED_MEMO.get() is None
+            got = []
+            for job in jobs[k:] + jobs[:k]:
+                got.append(job())
+                # the memo and the batch table went with the call
+                assert language._SHARED_MEMO.get() is None
+            outcomes[k] = got
         except Exception as exc:  # reported below, on the main thread
             errors.append(exc)
 
@@ -158,8 +171,35 @@ def test_check_empirical_shared_across_threads():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    for k, got in enumerate(reports):
-        assert got == serial[k % 2:] + serial[:k % 2], k
+    for k, got in enumerate(outcomes):
+        assert got == serial[k:] + serial[:k], k
+
+
+def test_verify_certificate_reports_failures_in_order(monkeypatch):
+    # contexts are decided as one batch after the derivations, but the
+    # outcome is that of checking each n in turn: the first failing n wins,
+    # whatever fails later or raises
+    fib = random_fibonacci()
+    cert = certify(fib, FIB, "a")
+    t = cert.threshold
+    real = semimixing._derive_witness
+
+    def rigged(c, n, scheme):
+        if n == t + 4:
+            raise GuardExceededError("rigged")
+        u, s, steps = real(c, n, scheme)
+        return ("b" * n if n == t + 2 else u), s, steps
+
+    monkeypatch.setattr(semimixing, "_derive_witness", rigged)
+    illegal = f"context {'a' + 'b' * (t + 2) + 'ab'!r} is not legal"
+    for ns in (range(t, t + 6), [t, t + 1, t + 2, t + 4]):
+        outcome = verify_certificate(cert, ns, deep=False)
+        assert (outcome.ok, outcome.checked) == (False, 2)
+        assert outcome.counterexample == (t + 2, illegal)
+    with pytest.raises(GuardExceededError):
+        verify_certificate(cert, [t, t + 4, t + 2], deep=False)
+    assert verify_certificate(cert, [t + 3, t + 1], deep=False).checked == 2
+    assert language._SHARED_MEMO.get() is None
 
 
 def test_check_empirical_rejects_illegal_source():
@@ -496,9 +536,20 @@ def test_parse_family():
     with pytest.raises(UnsupportedFamilyError):
         parse_family("golden")
     for text, field in [("", "family"), ("kbonacci", "k="),
-                        ("metallic m=3 k=9", "m="), ("metallic m=x", "m")]:
+                        ("metallic m=3 k=9", "m="), ("metallic m=x", "m"),
+                        ("kbonacci k=1", "2 <= k <= 26"),
+                        ("kbonacci k=27", "2 <= k <= 26"),
+                        ("metallic m=0", "m >= 1"),
+                        ("metallic-pisa k=3 m=0", "m >= 1"),
+                        ("metallic-pisa k=30 m=1", "2 <= k <= 26")]:
         with pytest.raises(ValueError, match=field):
             parse_family(text)
+    # the range is checked when a family is built, not when a builder runs
+    for name, params in [("kbonacci", (1,)), ("kbonacci", (30,)),
+                         ("metallic", (0,)), ("metallic-pisa", (2, 0))]:
+        with pytest.raises(ValueError, match="needs"):
+            Family(name, params)
+    assert Family("kbonacci", (26,)).substitution().alphabet[-1] == "z"
 
 
 FAMILY_GRID = (
