@@ -9,12 +9,18 @@ bounded-window content of the fully enumerated level sets.  This keeps the
 brute-force legality oracle usable at levels where full enumeration blows
 up; `test_window_closure_matches_full_enumeration` pins the equivalence on
 ranges where both are feasible.
+
+`replay_each` replays a certificate one gap length at a time, sharing
+nothing between gap lengths, as the reference for `verify_certificate`.
 """
 
 import itertools
 
 from zeckmix.errors import GuardExceededError
-from zeckmix.substitution import apply, apply_to_set
+from zeckmix.language import is_legal
+from zeckmix.numeration import DigitString, decode, encode_greedy
+from zeckmix.semimixing import derive_witness
+from zeckmix.substitution import apply, apply_to_set, build_dag
 
 
 def short_subwords(word, bound):
@@ -171,3 +177,92 @@ def single_positive_root_decimals(coeffs, lo, hi, places):
     rounded = (a + 1) // 2
     whole, frac = divmod(rounded, 10**places)
     return f"{whole}.{frac:0{places}d}"
+
+
+def _table_fault(cert, sub, scheme):
+    """The first reason the certificate's fields or tables are unsound, in
+    verify_certificate's order and words, or None.  Step words are checked
+    against the enumerated image set of their seed."""
+    seeds = set(cert.seeds)
+    if cert.w_prime != cert.x + cert.source + cert.y:
+        return "embedding split does not reassemble w_prime"
+    if not build_dag(sub, cert.level).contains(cert.w_prime, "a", cert.level):
+        return f"w_prime is not a level-{cert.level} inflation word of a"
+    if cert.threshold != len(cert.y) + cert.n0:
+        return "threshold does not equal |y| + n0"
+    if cert.n0 != scheme.term(cert.lead_position):
+        return "n0 is not the recorded sequence term"
+    for letter, image in cert.letter_images.items():
+        if image not in sub.rule.get(letter, ()):
+            return f"letter image {letter}->{image} is not a rule image"
+    for lead, (z0, s0, e0) in cert.base_table.items():
+        if s0 not in seeds:
+            return f"base seed {s0!r} is not in the seed set"
+        if not e0.startswith(z0 + s0):
+            return f"base word for digit {lead} is not a prefix of e0"
+        if len(z0) != lead * scheme.term(scheme.base_index):
+            return f"base word for digit {lead} has the wrong length"
+    for lead, (_, _, e0) in cert.base_table.items():
+        if not build_dag(sub, 2).contains(e0, "a", 2):
+            return f"base element for digit {lead} is not level-2"
+    for (s, digit), r in cert.step_table.items():
+        if s not in seeds:
+            return f"step seed {s!r} is not in the seed set"
+        try:
+            images = apply(sub, s)
+        except KeyError:        # a letter the substitution lacks
+            images = set()
+        if r not in images:
+            return f"step word {r!r} is not an image of {s!r}"
+        if len(r) < digit + cert.seed_length:
+            return f"step word {r!r} too short for digit {digit}"
+        if r[digit:digit + cert.seed_length] not in seeds:
+            return f"step ({s!r}, {digit}) yields a non-seed follower"
+    return None
+
+
+def replay_each(cert, ns, deep):
+    """(ok, checked, counterexample) of verify_certificate(cert, ns, deep),
+    one n at a time: a fresh derive_witness per n, its bookkeeping checked
+    step by step, the final element (when deep) decided by DAG membership at
+    its level, then the context w u s by is_legal."""
+    sub = cert.family.substitution()
+    scheme = cert.family.scheme()
+    fault = _table_fault(cert, sub, scheme)
+    if fault is not None:
+        return False, 0, (-1, fault)
+    checked = 0
+    for n in ns:
+        try:
+            u, s, steps = derive_witness(cert, n)
+        except (KeyError, ValueError) as exc:
+            return False, checked, (n, f"derivation failed: {exc}")
+        fault = None
+        if len(u) != n:
+            fault = f"witness has length {len(u)}, expected {n}"
+        elif s not in cert.seeds:
+            fault = f"witness seed {s!r} is not in the seed set"
+        else:
+            for k, step in enumerate(steps, 1):
+                if not step.element.startswith(step.word + step.seed):
+                    fault = f"prefix invariant broken at level {step.level}"
+                    break
+                digits = tuple(step.digit for step in steps[:k])
+                if len(step.word) != decode(DigitString(digits, scheme)):
+                    fault = f"digit bookkeeping broken at level {step.level}"
+                    break
+        if fault is None:
+            digits = tuple(step.digit for step in steps)
+            final = steps[-1]
+            if digits != encode_greedy(scheme, n - len(cert.y)).digits:
+                fault = "derivation consumed the wrong digit string"
+            elif deep and not build_dag(sub, final.level).contains(
+                    final.element, "a", final.level):
+                fault = "final element is not an inflation word of a"
+        if fault is not None:
+            return False, checked, (n, fault)
+        context = cert.source + u + s
+        if not is_legal(sub, context, want_witness=False).legal:
+            return False, checked, (n, f"context {context!r} is not legal")
+        checked += 1
+    return True, checked, None

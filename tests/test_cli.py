@@ -183,6 +183,27 @@ def test_semimix_verify_foreign_seed_letter(tmp_path):
             in result.stdout)
 
 
+@pytest.mark.parametrize("level", [600, 5000])
+def test_semimix_verify_large_level(tmp_path, level):
+    # a level far above the word's length is rejected without matching down
+    # through every level, in a fresh interpreter so that a RecursionError
+    # traceback would show
+    lines = [f"level: {level}" if line.startswith("level:") else line
+             for line in certificate_report(certify(
+                 random_fibonacci(), Family("fibonacci"), "ab")).splitlines()]
+    cert_path = tmp_path / "cert.txt"
+    cert_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "zeckmix.cli", "semimix", "verify",
+         "--cert", str(cert_path)],
+        env=src_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 1, result.stderr
+    assert "Traceback" not in result.stderr
+    assert (f"counterexample: n=-1 w_prime is not a level-{level} inflation "
+            "word of a") in result.stdout
+
+
 @pytest.mark.parametrize("flags", [["--k", "30"], ["--k", "1"]])
 def test_family_parameter_range_is_checked_once(flags):
     # every command that builds a family rejects the same parameters

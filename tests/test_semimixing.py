@@ -4,6 +4,9 @@ import threading
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import replay_each
 
 from zeckmix import language, semimixing
 from zeckmix.errors import (
@@ -184,10 +187,10 @@ def test_verify_certificate_reports_failures_in_order(monkeypatch):
     t = cert.threshold
     real = semimixing._derive_witness
 
-    def rigged(c, n, scheme):
+    def rigged(c, n, scheme, memo=None):
         if n == t + 4:
             raise GuardExceededError("rigged")
-        u, s, steps = real(c, n, scheme)
+        u, s, steps = real(c, n, scheme, memo)
         return ("b" * n if n == t + 2 else u), s, steps
 
     monkeypatch.setattr(semimixing, "_derive_witness", rigged)
@@ -341,8 +344,8 @@ def test_deep_verification_catches_broken_final_element(monkeypatch):
     bad_n = cert.threshold + 7
     real = semimixing._derive_witness
 
-    def broken_tail(c, n, scheme):
-        u, s, steps = real(c, n, scheme)
+    def broken_tail(c, n, scheme, memo=None):
+        u, s, steps = real(c, n, scheme, memo)
         if n == bad_n:
             last = steps[-1]
             keep = len(last.word) + len(last.seed)
@@ -392,8 +395,8 @@ def test_deep_verification_anchors_the_chain_at_level_two(monkeypatch):
     cert = certify(fib, FIB, "a")
     real = semimixing._derive_witness
 
-    def shifted_levels(c, n, scheme):
-        u, s, steps = real(c, n, scheme)
+    def shifted_levels(c, n, scheme, memo=None):
+        u, s, steps = real(c, n, scheme, memo)
         return u, s, [replace(steps[0], level=3)] + [
             replace(step, level=step.level + 1) for step in steps[1:]
         ]
@@ -403,6 +406,109 @@ def test_deep_verification_anchors_the_chain_at_level_two(monkeypatch):
     assert outcome.counterexample == (
         cert.threshold, "final element is not an inflation word of a")
     assert verify_certificate(cert, [cert.threshold], deep=False).ok
+
+
+def _shared_prefix_pair(cert):
+    """Gap lengths n_small < n_big whose digit strings share n_small's
+    whole string as a prefix, so both derivations pass one step."""
+    scheme = cert.family.scheme()
+    digits = {n: encode_greedy(scheme, n - len(cert.y)).digits
+              for n in range(cert.threshold, cert.threshold + 60)}
+    for small, big in itertools.combinations(sorted(digits), 2):
+        if len(digits[small]) >= 3 and digits[big][:len(digits[small])] == digits[small]:
+            return small, big, len(digits[small])
+    raise AssertionError("no shared prefix")
+
+
+@pytest.mark.parametrize("part", ["element", "seed"])
+@pytest.mark.parametrize("order", ["small first", "big first"])
+def test_replay_rechecks_a_changed_step_at_a_shared_prefix(monkeypatch, order, part):
+    # one derivation returns a broken copy of the step at a digit prefix
+    # that another derivation shares: an element that is no image of the
+    # one before, or a seed that breaks the prefix invariant; the verdict of
+    # the intact step must not be reused for it, in either order
+    fib = random_fibonacci()
+    cert = certify(fib, FIB, "ab")
+    small, big, depth = _shared_prefix_pair(cert)
+    broken_n = big if order == "small first" else small
+    real = semimixing._derive_witness
+    flip = {"a": "b", "b": "a"}
+
+    def broken_at_prefix(c, n, scheme, memo=None):
+        u, s, steps = real(c, n, scheme, memo)
+        if n == broken_n:
+            step = steps[depth - 1]
+            if part == "element":
+                element = step.element[:-1] + flip[step.element[-1]]
+                assert element.startswith(step.word + step.seed)
+                step = replace(step, element=element)
+            else:
+                step = replace(step, seed=flip[step.seed[0]] + step.seed[1:])
+            steps = [*steps[:depth - 1], step, *steps[depth:]]
+        return u, s, steps
+
+    monkeypatch.setattr(semimixing, "_derive_witness", broken_at_prefix)
+    ns = [small, big] if order == "small first" else [big, small]
+    outcome = verify_certificate(cert, ns, deep=part == "element")
+    level = real(cert, small, FIB.scheme())[2][-1].level
+    assert outcome.counterexample == (broken_n, {
+        "element": "final element is not an inflation word of a",
+        "seed": f"prefix invariant broken at level {level}"}[part])
+    assert outcome.checked == 1
+
+
+_REPLAY_FAMILIES = (FIB, TRIB, *(Family("metallic", (m,)) for m in (1, 2, 3)))
+_REPLAY_CERTS: dict = {}
+
+
+def _replay_certificates(family):
+    if family not in _REPLAY_CERTS:
+        sub = family.substitution()
+        words = [w for n in (1, 2, 3) for w in language_of_length(sub, n)]
+        _REPLAY_CERTS[family] = (sub, [certify(sub, family, w) for w in words[:6]])
+    return _REPLAY_CERTS[family]
+
+
+@st.composite
+def replay_cases(draw):
+    """A certificate, maybe corrupted at one step, gap lengths and depth."""
+    family = draw(st.sampled_from(_REPLAY_FAMILIES))
+    sub, certs = _replay_certificates(family)
+    cert = draw(st.sampled_from(certs))
+    kind = draw(st.sampled_from(
+        ["none", "random", "image", "foreign letter", "foreign seed"]))
+    if kind != "none":
+        seed, digit = draw(st.sampled_from(sorted(cert.step_table)))
+        original = cert.step_table[(seed, digit)]
+        letters = "".join(sub.alphabet)
+        if kind == "image":         # a true image, maybe a non-seed follower
+            word = draw(st.sampled_from(sorted(apply(sub, seed))))
+        else:
+            size = max(1, len(original) + draw(st.integers(-1, 1)))
+            word = draw(st.text(letters, min_size=size, max_size=size))
+            if kind == "foreign letter":
+                i = draw(st.integers(0, size - 1))
+                word = word[:i] + "z" + word[i + 1:]
+        if kind == "foreign seed":
+            seed = draw(st.sampled_from(["z" + seed[1:], seed[::-1] + "a"]))
+        cert = corrupt_step(cert, seed, digit, word)
+    t = cert.threshold
+    if draw(st.booleans()):
+        start = t + draw(st.integers(-2, 3))
+        ns = range(start, start + draw(st.integers(0, 20)))
+    else:
+        ns = draw(st.lists(st.integers(t - 1, t + 30), max_size=12))
+    return cert, ns, draw(st.booleans())
+
+
+@given(case=replay_cases())
+@settings(max_examples=120, deadline=None)
+def test_verify_certificate_matches_replay_each(case):
+    # the prefix-trie replay decides exactly as replaying each n alone
+    cert, ns, deep = case
+    outcome = verify_certificate(cert, ns, deep=deep)
+    assert (outcome.ok, outcome.checked, outcome.counterexample) == \
+        replay_each(cert, ns, deep)
 
 
 def test_empirical_threshold_below_certificate_threshold():

@@ -169,6 +169,12 @@ def test_dag_contains():
     trib = build_dag(random_tribonacci(), 4)
     assert trib.contains("acab", "a", 2)
     assert not trib.contains("acac", "a", 2)
+    # a level whose elements are all longer than the word is rejected at
+    # once, however deep; elements exactly as long are still matched
+    deep = build_dag(random_fibonacci(), 5000)
+    assert not deep.contains(dag.spell_any("a", 5), "a", 5000)
+    assert deep.contains(dag.spell_any("a", 5), "a", 5)
+    assert not deep.contains("", "a", 0) and deep.contains("a", "a", 0)
 
 
 def test_dag_spell_any():
@@ -362,6 +368,72 @@ def test_in_image_matches_apply(rule, word, data):
     else:
         near = member[:i] + member[i + 1:i + 2] + member[i:i + 1] + member[i + 2:]
     assert in_image(sub, word, near) == (near in images)
+
+
+def test_in_image_edges():
+    fib = random_fibonacci()
+    # no non-empty word has the empty image
+    assert not in_image(fib, "a", "") and not in_image(fib, "ab", "")
+    # characters outside the alphabet, '?' included, match no letter
+    assert not in_image(fib, "ab", "abz") and not in_image(fib, "ab", "a?a")
+    assert not in_image(fib, "b", "?") and not in_image(fib, "ab", "zab")
+    assert in_image(fib, "ab", "baa")
+    # every letter is looked up, also once no end position survives
+    assert not in_image(fib, "bb", "b")
+    with pytest.raises(KeyError):
+        in_image(fib, "bx", "b")
+    with pytest.raises(KeyError):
+        in_image(fib, "bbx", "")
+
+
+short_mixed_rules = st.sampled_from(["ab", "abc"]).flatmap(
+    lambda alpha: st.fixed_dictionaries({
+        a: st.sets(st.text(alphabet=alpha, min_size=1, max_size=3),
+                   min_size=1, max_size=2)
+        for a in alpha
+    })
+)
+
+
+@given(rule=short_mixed_rules, word=st.text(alphabet="abc", min_size=8, max_size=12),
+       data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_in_image_matches_apply_on_long_words(rule, word, data):
+    sub = make_substitution(rule)
+    assume(set(word) <= set(sub.alphabet))
+    images = apply(sub, word)
+    members = sorted(images)
+    for member in data.draw(st.lists(st.sampled_from(members), min_size=1,
+                                     max_size=4), label="members"):
+        assert in_image(sub, word, member)
+        i = data.draw(st.integers(0, len(member) - 1), label="position")
+        letter = data.draw(st.sampled_from("abcz"), label="letter")
+        for near in (member[:i] + letter + member[i + 1:],
+                     member[:i] + member[i + 1:],
+                     member[:i] + letter + member[i:]):
+            assert in_image(sub, word, near) == (near in images)
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_in_image_matches_dag_on_long_images(data):
+    # for a word w, the level-2 node of a fresh letter whose only image is w
+    # holds exactly apply(w), which the DAG decides by its own matching
+    sub, level = data.draw(st.sampled_from(
+        [(random_fibonacci(), 10), (random_tribonacci(), 8), (random_metallic(2), 5)]))
+    choose = data.draw(st.randoms(use_true_random=False))
+    word = "a"
+    for _ in range(level):
+        word = "".join(choose.choice(sub.rule[c]) for c in word)
+    image = "".join(choose.choice(sub.rule[c]) for c in word)
+    assert len(image) >= 200
+    extended = make_substitution({**sub.rule, "s": (word,)})
+    dag = build_dag(extended, 2)
+    i = data.draw(st.integers(0, len(image) - 1))
+    letter = data.draw(st.sampled_from("abc"))
+    for candidate in (image, image[:i] + letter + image[i + 1:],
+                      image[:i] + image[i + 1:i + 2] + image[i:i + 1] + image[i + 2:]):
+        assert in_image(sub, word, candidate) == dag.contains(candidate, "s", 2)
 
 
 def test_rules_text_round_trip():
