@@ -53,14 +53,10 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import GuardExceededError
-from .substitution import (
-    DEFAULT_SET_GUARD,
-    RandomSubstitution,
-    _bit_tables,
-    apply_to_set,
-)
+from .substitution import DEFAULT_SET_GUARD, RandomSubstitution, apply_to_set
 
 WILDCARD = "?"
 _LEVEL_SAFETY_CAP = 4096
@@ -89,6 +85,25 @@ def _matches(pattern: str, word: str, offset: int = 0) -> bool:
 # match profiles, one lane per pattern
 
 
+class _Bits(dict):
+    """A translation table that spells every character it lacks as '0'."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        return "0"
+
+
+@lru_cache(maxsize=64)
+def _bit_tables(alphabet):
+    """Per letter x, the table spelling x and '?' as '1', all else as '0'."""
+    zeros = dict.fromkeys(map(ord, alphabet), "0")
+    return tuple(
+        _Bits({**zeros, ord(x): "1", ord(WILDCARD): "1"})
+        for x in alphabet
+    )
+
+
 def _leaf_profiles(sub, text, ones, full, single):
     """Level-0 profiles: each node is the single-letter word itself.
 
@@ -100,7 +115,7 @@ def _leaf_profiles(sub, text, ones, full, single):
     multi = ones ^ single
     last = full >> 1
     out = {}
-    for x, table in zip(sub.alphabet, _bit_tables(sub.alphabet, WILDCARD)):
+    for x, table in zip(sub.alphabet, _bit_tables(sub.alphabet)):
         starts = int(text.translate(table), 2) & body
         out[x] = ((starts & single) << 2, (starts & multi) << 1,
                   full | (starts & last), ((1, starts),) if starts else ())

@@ -23,11 +23,11 @@ left context that turns the prefix invariant into legality of w u s.
 Deep verification follows the same structure instead of deciding DAG
 membership afresh for every n.  The base element is checked once as a
 level-2 inflation word of a; each derivation step is then one rule
-application, checked by a bit-parallel match of the step's element against
-the letter images of the previous element (`in_image`).  Since the image of
-a level-k inflation word of a consists of level-(k+1) inflation words of a,
-an unbroken chain from a verified base proves that the final element is an
-inflation word of a at its level.
+application, checked by matching the step's element against the letter
+images of the previous element (linear in its length for constant-length
+rules).  Since the image of a level-k inflation word of a consists of
+level-(k+1) inflation words of a, an unbroken chain from a verified base
+proves that the final element is an inflation word of a at its level.
 
 A prefix of a greedy expansion is the greedy expansion of a smaller value,
 and a step depends only on the digits consumed so far, so the derivations
@@ -554,7 +554,8 @@ def verify_certificate(cert: Certificate, ns, deep: bool = True) -> Verification
     of the previous step's element (`in_image`), one level higher, and the
     chain must start at a base element, which the preamble checks against
     the level-2 DAG.  Induction along the chain gives the claim: a word in
-    the image of a level-k word of a is a level-(k+1) word of a.
+    the image of a level-k word of a is a level-(k+1) word of a.  Each
+    check is linear in the element for constant-length rules.
 
     A step is a function of its digit prefix alone: the base step is the
     base-table row of the leading digit, and each later step is built from

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import string
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import zip_longest
 
 from .errors import (
@@ -125,59 +124,27 @@ def apply(sub: RandomSubstitution, w: str, guard: int = DEFAULT_SET_GUARD) -> se
     return out
 
 
-class _Bits(dict):
-    """A translation table that spells every character it lacks as '0'."""
-
-    __slots__ = ()
-
-    def __missing__(self, key):
-        return "0"
-
-
-@lru_cache(maxsize=64)
-def _bit_tables(alphabet, wild=""):
-    """Per letter x, the `str.translate` table spelling x and the characters
-    of `wild` as '1' and every other character as '0'."""
-    zeros = dict.fromkeys(map(ord, alphabet), "0")
-    return tuple(
-        _Bits({**zeros, **dict.fromkeys(map(ord, x + wild), "1")})
-        for x in alphabet
-    )
-
-
 def in_image(sub: RandomSubstitution, word: str, image: str) -> bool:
     """Whether `image` is in apply(sub, word), decided without enumeration.
 
-    A shift-and match (Baeza-Yates and Gonnet, CACM 1992) over end
-    positions.  Bit i of a letter's bitset says image[i] is that letter, so
-    ANDing the bitsets of a rule image's letters, each shifted right by its
-    offset, leaves the positions where that rule image occurs.  `ends` holds
-    the positions some choice of images for the letters of `word` read so
-    far can reach; reading a letter moves each end at which one of its
-    images occurs past that image.  Every position has its own bit, so
-    images of several lengths are matched exactly.  Every letter of `word`
-    is looked up, so an unknown letter raises KeyError as in apply.
+    Letter images are matched left to right against `image`, keeping the set
+    of end positions some choice of images for the letters read so far can
+    reach.  The set never holds more than len(image) + 1 positions, so the
+    check is exact for rules whose images differ in length; for
+    constant-length rules it holds at most one position, so the check is
+    linear.  Every letter of `word` is looked up, so an unknown letter raises
+    KeyError as in apply.
     """
     if not word:
         raise ValueError("word must be non-empty")
-    text = image[::-1]
-    bits = {x: int(text.translate(table) or "0", 2)
-            for x, table in zip(sub.alphabet, _bit_tables(sub.alphabet))}
-    moves = {}
-    for letter in set(word):
-        moves[letter] = []
-        for img in sub.rule[letter]:
-            occ = bits[img[0]]
-            for i in range(1, len(img)):
-                occ &= bits[img[i]] >> i
-            moves[letter].append((occ, len(img)))
-    ends = 1
+    ends = {0}
     for letter in word:
-        reach = 0
-        for occ, length in moves[letter]:
-            reach |= (ends & occ) << length
-        ends = reach
-    return ends >> len(image) & 1 == 1
+        images = sub.rule[letter]
+        ends = {
+            end + len(img)
+            for end in ends for img in images if image.startswith(img, end)
+        }
+    return len(image) in ends
 
 
 def apply_to_set(sub, words, guard: int = DEFAULT_SET_GUARD) -> set[str]:
@@ -205,16 +172,14 @@ class InflationDag:
 
     Node (letter, n) stands for the set of level-n inflation words of
     `letter`; its alternatives are the rule images, each read as a sequence
-    of level-(n-1) child nodes.  Lengths, shortest-element lengths and
-    realisation-path counts are computed bottom-up without enumeration.
-    Instances are immutable after construction apart from an append-only
-    spell cache.
+    of level-(n-1) child nodes.  Lengths and realisation-path counts are
+    computed bottom-up without enumeration.  Instances are immutable after
+    construction apart from an append-only spell cache.
     """
 
     substitution: RandomSubstitution
     max_level: int
     _lengths: dict = field(default_factory=dict, repr=False)
-    _shortest: dict = field(default_factory=dict, repr=False)
     _paths: dict = field(default_factory=dict, repr=False)
     _spell_cache: dict = field(default_factory=dict, repr=False)
 
@@ -302,12 +267,11 @@ class InflationDag:
     def contains(self, word: str, letter: str, level: int) -> bool:
         """Exact membership of `word` in the node's word set, by matching.
 
-        A node whose shortest element is longer than the word is rejected
-        before matching, so for rules whose elements grow, the matching
-        recursion is only as deep as the levels whose elements fit the word.
-        """
+        A node whose words share one length other than the word's is
+        rejected before matching, so a level whose words are far longer than
+        the word costs no recursion through its levels."""
         n = len(word)
-        if self._shortest.get((letter, level), 0) > n:
+        if self._lengths.get((letter, level)) not in (None, n):
             return False
         memo: dict = {}
 
@@ -340,9 +304,9 @@ def build_dag(sub: RandomSubstitution, max_level: int) -> InflationDag:
     if max_level < 0:
         raise ValueError("max_level must be nonnegative")
     dag = InflationDag(sub, max_level)
-    lengths, shortest = dag._lengths, dag._shortest
+    lengths = dag._lengths
     for a in sub.alphabet:
-        lengths[(a, 0)] = shortest[(a, 0)] = 1
+        lengths[(a, 0)] = 1
     for level in range(1, max_level + 1):
         for a in sub.alphabet:
             per_alt = []
@@ -355,8 +319,6 @@ def build_dag(sub: RandomSubstitution, max_level: int) -> InflationDag:
             if any(v != uniform for v in per_alt):
                 uniform = None
             lengths[(a, level)] = uniform
-            shortest[(a, level)] = uniform if uniform is not None else min(
-                sum(shortest[(c, level - 1)] for c in image) for image in sub.rule[a])
     return dag
 
 
