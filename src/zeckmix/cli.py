@@ -43,7 +43,6 @@ from .semimixing import (
 from .substitution import (
     DEFAULT_SET_GUARD,
     apply,
-    build_dag,
     format_rules,
     inflation_words,
     is_pisot,

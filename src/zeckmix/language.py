@@ -56,7 +56,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import GuardExceededError
-from .substitution import DEFAULT_SET_GUARD, RandomSubstitution, apply_to_set
+from .substitution import (
+    DEFAULT_SET_GUARD,
+    RandomSubstitution,
+    apply_to_set,
+    spell_first,
+)
 
 WILDCARD = "?"
 _LEVEL_SAFETY_CAP = 4096
@@ -359,30 +364,46 @@ def _ends(spans, q):
 
 def _advance(reach, profile, limit):
     """Progress positions <= limit after one more child with `profile`, from
-    the positions `reach` before it, each with how it was first reached:
-    skip (0), restart (a suffix of the child matches a prefix) or cont from
-    q (the child spans pattern[q:end]).  The dict order is the order of
-    first reaching, which fixes the predecessor that backtracking takes."""
+    the positions `reach` before it, each mapped to how it was first
+    reached: None for progress 0 and for a restart (a suffix of the child
+    matches a prefix of the pattern), or the progress q that the child
+    continues (it spans pattern[q:end]).  The dict order is the order of
+    first reaching, and a later way of reaching a position never replaces
+    the first; that fixes the predecessor that backtracking takes."""
     upto = (2 << limit) - 1
     _, sp_c, _, spans_c = profile
-    cur = {0: ("skip",)}
+    cur = {0: None}
     m = sp_c & upto
     while m:
         low = m & -m
         m ^= low
-        cur.setdefault(low.bit_length() - 1, ("restart",))
+        cur[low.bit_length() - 1] = None
     for q in reach:
         m = _ends(spans_c, q) & upto
         while m:
             low = m & -m
             m ^= low
-            cur.setdefault(low.bit_length() - 1, ("cont", q))
+            cur.setdefault(low.bit_length() - 1, q)
     return cur
 
 
 class _Extractor:
     """Rebuild concrete inflation words realising the facts that a profile
     search recorded for one pattern.
+
+    Two walks over the children of a realisation do all the work:
+
+      * `_plan` walks them forward from progress i, depth first over their
+        element ends.  For `exact` each child spans its piece of
+        pattern[i:j] and the last one ends at j; for `head` the walk may
+        also stop at a child whose ps bit holds the rest of the pattern.
+      * `_back` walks a progress chain that `_advance` recorded, backwards
+        from progress q: a continuation gives an `exact` chunk, and a
+        restart gives a `tail` chunk and ends the walk.
+
+    `exact` and `head` use `_plan`; `tail` and the straddle case of
+    `occurrence` use `_back`.  `_join` spells every child that no walk
+    claimed with the first image everywhere.
 
     `exact`, `tail` and `head` are memoised in `memo`, keyed by the slice
     of the pattern that each answer depends on:
@@ -398,15 +419,16 @@ class _Extractor:
     ends is cut off once it passes j), `tail` only sp and span bits at
     positions <= t, and `head` only ps and span bits at positions >= p.
     The search order that picks the first realisation (images in rule
-    order, children left to right, element ends ascending, insertion order
-    of the reach-step dicts) is fixed by those same bits, and so are the
-    recursive calls an answer makes.  Each answer is therefore a function
-    of its key alone: `exact` gives the same element for its slice at any
-    offset of any pattern, `tail` for every pattern with that prefix, and
-    `head` for every pattern with that suffix.  One key thus covers an
-    all-'?' run wherever it sits, and the pieces w ?^k and ?^k s are shared
-    by all gap patterns w ?^n s with the same w or s.  The
-    pattern-independent `spell` lives in the same dict.
+    order, children left to right, a child's ps bit before its spans,
+    element ends ascending, the first way `_advance` reached a progress)
+    is fixed by those same bits, and so are the recursive calls an answer
+    makes.  Each answer is therefore a function of its key alone: `exact`
+    gives the same element for its slice at any offset of any pattern,
+    `tail` for every pattern with that prefix, and `head` for every pattern
+    with that suffix.  One key thus covers an all-'?' run wherever it sits,
+    and the pieces w ?^k and ?^k s are shared by all gap patterns w ?^n s
+    with the same w or s.  The pattern-independent spellings live in the
+    same dict, keyed by (letter, level).
 
     A memo may therefore serve many patterns, but only of one substitution,
     and it belongs to one call of a public operation (`pattern_witness`,
@@ -433,52 +455,66 @@ class _Extractor:
             got = self.memo[key] = build(*args)
         return got
 
-    def spell(self, letter, level):
-        return self._memoised(("spell", letter, level),
-                              self._spell, letter, level)
-
-    def _spell(self, letter, level):
-        if level == 0:
-            return letter
-        return "".join(
-            self.spell(c, level - 1) for c in self.sub.rule[letter][0]
-        )
+    def _join(self, image, level, chunks):
+        """The level-`level` element made of the children of `image`:
+        chunks[k] for child k where given, else the child's first-image
+        spelling."""
+        return "".join([
+            chunks[k] if k in chunks else spell_first(self.sub, c, level - 1,
+                                                      self.memo)
+            for k, c in enumerate(image)
+        ])
 
     def exact(self, i, j, letter, level):
         """Element of (letter, level) equal to pattern[i:j]."""
         return self._memoised(("exact", self.pattern[i:j], letter, level),
-                              self._exact, i, j, letter, level)
+                              self._expand, i, j, letter, level, False)
 
-    def _exact(self, i, j, letter, level):
+    def head(self, p, letter, level):
+        """Element of (letter, level) starting with pattern[p:]."""
+        return self._memoised(("head", self.pattern[p:], letter, level),
+                              self._expand, p, self.size, letter, level, True)
+
+    def _expand(self, i, j, letter, level, heads):
         if level == 0:
             assert j == i + 1 and _matches(self.pattern, letter, i)
             return letter
         prev = self.history[level - 1]
         for image in self.sub.rule[letter]:
-            path = self._exact_path(image, i, j, prev)
-            if path is not None:
-                return "".join(
-                    self.exact(q0, q1, c, level - 1) for c, q0, q1 in path
-                )
-        raise AssertionError("no realisation for recorded exact span")
+            plan = self._plan(image, i, j, prev, heads)
+            if plan is not None:
+                return self._join(image, level, {
+                    k: self.head(q, image[k], level - 1) if end is None
+                    else self.exact(q, end, image[k], level - 1)
+                    for k, (q, end) in enumerate(plan)
+                })
+        raise AssertionError("no realisation for recorded span or prefix")
 
-    def _exact_path(self, image, i, j, prev):
+    def _plan(self, image, i, j, prev, heads):
+        """The first (q, end) per leading child of `image`, depth first over
+        element ends ascending, with each child spanning pattern[q:end] and
+        the children together pattern[i:j].  Without `heads` every child
+        takes part; with it the plan may stop at j, or at a child with an
+        element starting with pattern[q:] (end None).  None if none fits."""
         dead = set()
         upto = (2 << j) - 1         # element ends past j never come back
 
         def walk(idx, q):
-            if idx == len(image):
-                return [] if q == j else None
-            if (idx, q) in dead:
+            if q == j and (heads or idx == len(image)):
+                return []
+            if idx == len(image) or (idx, q) in dead:
                 return None
-            m = _ends(prev[image[idx]][3], q) & upto
+            _, _, ps_c, spans_c = prev[image[idx]]
+            if heads and ps_c >> q & 1:
+                return [(q, None)]
+            m = _ends(spans_c, q) & upto
             while m:
                 low = m & -m
-                end = low.bit_length() - 1
                 m ^= low
+                end = low.bit_length() - 1
                 rest = walk(idx + 1, end)
                 if rest is not None:
-                    return [(image[idx], q, end)] + rest
+                    return [(q, end), *rest]
             dead.add((idx, q))
             return None
 
@@ -495,93 +531,28 @@ class _Extractor:
             return letter
         prev = self.history[level - 1]
         for image in self.sub.rule[letter]:
-            steps = [{0: ("init",)}]
+            steps = [{0: None}]
             for c in image:
                 steps.append(_advance(steps[-1], prev[c], t))
             if t in steps[-1]:
-                return self._assemble_tail(image, steps, t, level)
+                chunks = {}
+                self._back(image, steps, len(image), t, level, chunks)
+                return self._join(image, level, chunks)
         raise AssertionError("no realisation for recorded suffix-prefix")
 
-    def _assemble_tail(self, image, steps, t, level):
-        """Backtrack one progress chain ending at t; return the element."""
-        chunks = [None] * len(image)
-        q = t
-        idx = len(image)
-        while idx > 0:
-            how = steps[idx][q]
+    def _back(self, image, steps, idx, q, level, chunks):
+        """Backtrack the progress chain that reaches q before child idx,
+        putting the chunk of each child it passes into `chunks`; return the
+        child and the offset in it where the match begins."""
+        while q:
             idx -= 1
-            c = image[idx]
-            if how[0] == "cont":
-                prev_q = how[1]
-                chunks[idx] = self.exact(prev_q, q, c, level - 1)
-                q = prev_q
-            elif how[0] == "restart":
-                chunks[idx] = self.tail(q, c, level - 1)
-                q = None
-                idx_fill = idx
-                for back in range(idx_fill):
-                    chunks[back] = self.spell(image[back], level - 1)
-                break
-            else:  # skip: nothing matched yet
-                chunks[idx] = self.spell(c, level - 1)
-                q = 0
-        return "".join(
-            chunk if chunk is not None else self.spell(image[k], level - 1)
-            for k, chunk in enumerate(chunks)
-        )
-
-    def head(self, p, letter, level):
-        """Element of (letter, level) starting with pattern[p:]."""
-        return self._memoised(("head", self.pattern[p:], letter, level),
-                              self._head, p, letter, level)
-
-    def _head(self, p, letter, level):
-        if level == 0:
-            assert p == self.size - 1 and _matches(self.pattern, letter, p)
-            return letter
-        prev = self.history[level - 1]
-        for image in self.sub.rule[letter]:
-            plan = self._head_plan(image, p, prev)
-            if plan is not None:
-                parts = []
-                for kind, c, arg in plan:
-                    if kind == "exact":
-                        parts.append(self.exact(arg[0], arg[1], c, level - 1))
-                    elif kind == "head":
-                        parts.append(self.head(arg, c, level - 1))
-                    else:
-                        parts.append(self.spell(c, level - 1))
-                return "".join(parts)
-        raise AssertionError("no realisation for recorded prefix-suffix")
-
-    def _head_plan(self, image, p, prev):
-        size = self.size
-        dead = set()
-
-        def walk(idx, q):
-            if q == size:
-                return [("spell", image[k], None) for k in range(idx, len(image))]
-            if idx == len(image):
-                return None
-            if (idx, q) in dead:
-                return None
-            c = image[idx]
-            ps_c, spans_c = prev[c][2], prev[c][3]
-            if q <= size - 1 and (ps_c >> q) & 1:
-                rest = [("spell", image[k], None) for k in range(idx + 1, len(image))]
-                return [("head", c, q)] + rest
-            m = _ends(spans_c, q)
-            while m:
-                low = m & -m
-                end = low.bit_length() - 1
-                m ^= low
-                rest = walk(idx + 1, end)
-                if rest is not None:
-                    return [("exact", c, (q, end))] + rest
-            dead.add((idx, q))
-            return None
-
-        return walk(0, p)
+            p = steps[idx + 1][q]
+            if p is None:       # a restart: the match begins in this child
+                chunks[idx] = chunk = self.tail(q, image[idx], level - 1)
+                return idx, len(chunk) - q
+            chunks[idx] = self.exact(p, q, image[idx], level - 1)
+            q = p
+        return idx, 0
 
     def occurrence(self, letter, level):
         """(element, start) with the pattern matching inside the element."""
@@ -592,73 +563,40 @@ class _Extractor:
         for image in self.sub.rule[letter]:
             for idx, c in enumerate(image):
                 if prev[c][0]:
-                    inner, inner_start = self.occurrence(c, level - 1)
-                    before = "".join(self.spell(image[k], level - 1)
-                                     for k in range(idx))
-                    after = "".join(self.spell(image[k], level - 1)
-                                    for k in range(idx + 1, len(image)))
-                    return before + inner + after, len(before) + inner_start
-            hit = self._straddle(image, prev, level)
-            if hit is not None:
-                return hit
+                    inner, offset = self.occurrence(c, level - 1)
+                    chunks = {idx: inner}
+                    break
+            else:
+                hit = self._straddle(image, prev, level)
+                if hit is None:
+                    continue
+                chunks, idx, offset = hit
+            return (self._join(image, level, chunks),
+                    len(self._join(image[:idx], level, {})) + offset)
         raise AssertionError("no realisation for recorded occurrence")
 
     def _straddle(self, image, prev, level):
-        """First match completing inside child idx, scanning children left
-        to right: by a prefix of the child (progress q in its ps), else by
-        the child spanning the rest of the pattern exactly."""
-        steps = [{0: ("init",)}]
+        """(chunks, child, offset) of the first match completing inside a
+        child, scanning children left to right: by a prefix of the child
+        (progress q in its ps), else by the child spanning the rest of the
+        pattern exactly; None if no match straddles the children."""
+        size = self.size
+        steps = [{0: None}]
         for idx, c in enumerate(image):
-            ps_c, spans_c = prev[c][2], prev[c][3]
+            _, _, ps_c, spans_c = prev[c]
             for q in steps[idx]:
-                if q < self.size and (ps_c >> q) & 1:
-                    return self._assemble_straddle(image, steps, idx, q, level)
+                if q < size and ps_c >> q & 1:
+                    chunks = {idx: self.head(q, c, level - 1)}
+                    return chunks, *self._back(image, steps, idx, q, level,
+                                               chunks)
             for q in steps[idx]:
-                if _ends(spans_c, q) >> self.size & 1:
-                    return self._assemble_straddle(
-                        image, steps, idx, q, level, final_exact=self.size
-                    )
+                if _ends(spans_c, q) >> size & 1:
+                    chunks = {idx: self.exact(q, size, c, level - 1)}
+                    return chunks, *self._back(image, steps, idx, q, level,
+                                               chunks)
             # progress past child idx is needed only if nothing completed
-            steps.append(_advance(steps[idx], prev[c], self.size))
+            steps.append(_advance(steps[idx], prev[c], size))
         return None
-
-    def _assemble_straddle(self, image, steps, idx, q, level, final_exact=None):
-        """Build the element around a completion at child idx, progress q."""
-        if final_exact is None:
-            completion = self.head(q, image[idx], level - 1)
-        else:
-            completion = self.exact(q, final_exact, image[idx], level - 1)
-        chunks = [None] * len(image)
-        chunks[idx] = completion
-        start_child, start_offset = idx, None
-        pos = q
-        walk = idx
-        while walk > 0 and pos != 0:
-            how = steps[walk][pos]
-            walk -= 1
-            c = image[walk]
-            if how[0] == "cont":
-                prev_q = how[1]
-                chunks[walk] = self.exact(prev_q, pos, c, level - 1)
-                pos = prev_q
-                start_child = walk
-            elif how[0] == "restart":
-                chunks[walk] = self.tail(pos, c, level - 1)
-                start_child = walk
-                start_offset = len(chunks[walk]) - pos
-                pos = 0
-            else:
-                chunks[walk] = self.spell(c, level - 1)
-                pos = 0
-        if pos == 0 and start_offset is None:
-            # match starts exactly at the boundary of start_child
-            start_offset = 0
-        for k in range(len(image)):
-            if chunks[k] is None:
-                chunks[k] = self.spell(image[k], level - 1)
-        element = "".join(chunks)
-        start = sum(len(chunks[k]) for k in range(start_child)) + start_offset
-        return element, start
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ greedy expansion is the unique valid one.
 
 from __future__ import annotations
 
-import itertools
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -76,17 +75,6 @@ class LinearRecurrence:
                         "exceeds the 64-bit guard"
                     )
                 terms.append(nxt)
-
-    def terms_up_to(self, bound: int) -> list[int]:
-        """All terms with value <= bound, starting from index 0."""
-        out = []
-        i = 0
-        while True:
-            t = self.term(i)
-            if t > bound:
-                return out
-            out.append(t)
-            i += 1
 
 
 def fibonacci_recurrence() -> LinearRecurrence:

@@ -544,6 +544,23 @@ class VerificationOutcome:
         return self.ok
 
 
+def _outgrows(sub, level, size):
+    """Whether every level-`level` inflation word of every letter is longer
+    than `size`.  Only one level's shortest lengths are kept, and the walk
+    stops at the first level at which every letter's words are longer than
+    `size`: each word of a later level concatenates such words.  A
+    certificate's `level:` may be huge, and a table of every level's
+    lengths (`build_dag`) grows quadratically with it."""
+    shortest = dict.fromkeys(sub.alphabet, 1)
+    for _ in range(level):
+        if min(shortest.values()) > size:
+            return True
+        shortest = {a: min(sum(shortest[c] for c in image)
+                           for image in sub.rule[a])
+                    for a in sub.alphabet}
+    return min(shortest.values()) > size
+
+
 def verify_certificate(cert: Certificate, ns, deep: bool = True) -> VerificationOutcome:
     """Replay the certificate over the given gap lengths with an engine
     independent of the construction; returns a counterexample on failure.
@@ -577,8 +594,9 @@ def verify_certificate(cert: Certificate, ns, deep: bool = True) -> Verification
 
     if cert.w_prime != cert.x + cert.source + cert.y:
         return fail(-1, "embedding split does not reassemble w_prime")
-    dag = build_dag(sub, cert.level)
-    if not dag.contains(cert.w_prime, "a", cert.level):
+    if (_outgrows(sub, cert.level, len(cert.w_prime))
+            or not build_dag(sub, cert.level).contains(cert.w_prime, "a",
+                                                       cert.level)):
         return fail(-1, f"w_prime is not a level-{cert.level} inflation word of a")
     if cert.threshold != len(cert.y) + cert.n0:
         return fail(-1, "threshold does not equal |y| + n0")

@@ -166,6 +166,20 @@ def inflation_words(sub, letter: str, n: int, guard: int = DEFAULT_SET_GUARD) ->
     return current
 
 
+def spell_first(sub: RandomSubstitution, letter: str, level: int,
+                cache: dict) -> str:
+    """The level-`level` inflation word of `letter` that takes the first
+    image everywhere; `cache` holds the words spelled so far, keyed by
+    (letter, level)."""
+    key = (letter, level)
+    word = cache.get(key)
+    if word is None:
+        word = cache[key] = letter if level == 0 else "".join([
+            spell_first(sub, c, level - 1, cache) for c in sub.rule[letter][0]
+        ])
+    return word
+
+
 @dataclass
 class InflationDag:
     """Compressed view of all level-n inflation word sets up to max_level.
@@ -250,19 +264,7 @@ class InflationDag:
 
     def spell_any(self, letter: str, level: int) -> str:
         """One concrete element of the node (first image everywhere)."""
-        key = (letter, level)
-        cached = self._spell_cache.get(key)
-        if cached is not None:
-            return cached
-        if level == 0:
-            word = letter
-        else:
-            word = "".join(
-                self.spell_any(child, level - 1)
-                for child in self.substitution.rule[letter][0]
-            )
-        self._spell_cache[key] = word
-        return word
+        return spell_first(self.substitution, letter, level, self._spell_cache)
 
     def contains(self, word: str, letter: str, level: int) -> bool:
         """Exact membership of `word` in the node's word set, by matching.

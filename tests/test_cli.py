@@ -183,11 +183,20 @@ def test_semimix_verify_foreign_seed_letter(tmp_path):
             in result.stdout)
 
 
-@pytest.mark.parametrize("level", [600, 5000])
+def _cap_address_space():
+    # runs in the child only: 256 MB of address space, where a table of
+    # every level's length up to level 100,000 needs about a gigabyte
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+
+@pytest.mark.parametrize("level", [600, 5000, 100000])
 def test_semimix_verify_large_level(tmp_path, level):
     # a level far above the word's length is rejected without matching down
-    # through every level, in a fresh interpreter so that a RecursionError
-    # traceback would show
+    # through every level or tabulating every level's length, in a fresh
+    # interpreter with capped memory so that a RecursionError or
+    # MemoryError traceback would show
     lines = [f"level: {level}" if line.startswith("level:") else line
              for line in certificate_report(certify(
                  random_fibonacci(), Family("fibonacci"), "ab")).splitlines()]
@@ -197,6 +206,7 @@ def test_semimix_verify_large_level(tmp_path, level):
         [sys.executable, "-m", "zeckmix.cli", "semimix", "verify",
          "--cert", str(cert_path)],
         env=src_env(), capture_output=True, text=True, timeout=60,
+        preexec_fn=_cap_address_space,
     )
     assert result.returncode == 1, result.stderr
     assert "Traceback" not in result.stderr

@@ -710,3 +710,29 @@ def test_no_family_name_dispatch_in_library():
                     if isinstance(const, ast.Constant) and const.value in names:
                         found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_no_unused_imports_in_library():
+    # a name a module imports but never reads is dead weight that hides
+    # which layers depend on which; the package's __init__ re-exports its
+    # imports, so it is exempt
+    import ast
+    from pathlib import Path
+
+    found = []
+    for path in sorted(Path(semimixing.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{line} {name}"
+                  for name, line in imported.items() if name not in used]
+    assert found == []
