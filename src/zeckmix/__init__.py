@@ -42,7 +42,6 @@ from .substitution import (
 from .language import (
     LegalityVerdict,
     is_legal,
-    is_legal_bruteforce,
     is_subword,
     language_of_length,
     pattern_witness,

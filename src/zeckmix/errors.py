@@ -17,10 +17,6 @@ class NonPrimitiveMatrixError(ZeckmixError, ValueError):
     """Matrix is not primitive (no power is strictly positive)."""
 
 
-class NonConvergenceError(ZeckmixError):
-    """An iterative numeric routine failed to converge."""
-
-
 class StructureError(ZeckmixError, ValueError):
     """A substitution lacks the structural property an operation requires."""
 

@@ -59,7 +59,6 @@ from .errors import GuardExceededError
 from .substitution import (
     DEFAULT_SET_GUARD,
     RandomSubstitution,
-    apply_to_set,
     spell_first,
 )
 
@@ -699,23 +698,6 @@ def _shared_extraction(sub: RandomSubstitution):
         yield _SHARED_MEMO.get()
     finally:
         _SHARED_MEMO.reset(token)
-
-
-def is_legal_bruteforce(sub: RandomSubstitution, u: str, max_level: int,
-                        guard: int = DEFAULT_SET_GUARD) -> bool:
-    """Oracle by full enumeration of every inflation word set up to max_level."""
-    if not u:
-        raise ValueError("word must be non-empty")
-    current = {a: {a} for a in sub.alphabet}
-    for a in sub.alphabet:
-        if u in a:
-            return True
-    for _ in range(max_level):
-        for a in sub.alphabet:
-            current[a] = apply_to_set(sub, current[a], guard)
-            if any(u in w for w in current[a]):
-                return True
-    return False
 
 
 def language_of_length(sub: RandomSubstitution, n: int,

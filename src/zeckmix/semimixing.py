@@ -467,20 +467,26 @@ def _expand(images: dict[str, str], word: str) -> str:
 def derive_witness(cert: Certificate, n: int) -> tuple[str, str, list[DerivationStep]]:
     """Replay the digit-driven construction for gap length n (n >= threshold),
     using only the certificate's recorded choices."""
-    return _derive_witness(cert, n, cert.family.scheme())
+    return _derive_witness(cert, n, _gap_digits(cert, n, cert.family.scheme()))
 
 
-def _derive_witness(cert, n, scheme, memo=None):
-    """derive_witness with the family's numeration scheme supplied.
-
-    `memo`, a dict from digit prefix to the step that ends it, is shared by
-    the derivations of one caller: each step extends its parent prefix's
-    step by one digit, and a step is built only for a prefix not in it."""
+def _gap_digits(cert, n, scheme) -> tuple[int, ...]:
+    """The greedy digits of n - |y|, which drive the derivation for gap
+    length n."""
     if n < cert.threshold:
         raise ValueError(f"n must be at least the threshold {cert.threshold}")
     if n > _WITNESS_LENGTH_GUARD:
         raise GuardExceededError("witness length exceeds the work guard")
-    digits = encode_greedy(scheme, n - len(cert.y)).digits
+    return encode_greedy(scheme, n - len(cert.y)).digits
+
+
+def _derive_witness(cert, n, digits, memo=None):
+    """derive_witness for gap length n with its digits (`_gap_digits`)
+    supplied, so that a caller that also checks them encodes n once.
+
+    `memo`, a dict from digit prefix to the step that ends it, is shared by
+    the derivations of one caller: each step extends its parent prefix's
+    step by one digit, and a step is built only for a prefix not in it."""
     if memo is None:
         memo = {}
     steps = []
@@ -544,23 +550,6 @@ class VerificationOutcome:
         return self.ok
 
 
-def _outgrows(sub, level, size):
-    """Whether every level-`level` inflation word of every letter is longer
-    than `size`.  Only one level's shortest lengths are kept, and the walk
-    stops at the first level at which every letter's words are longer than
-    `size`: each word of a later level concatenates such words.  A
-    certificate's `level:` may be huge, and a table of every level's
-    lengths (`build_dag`) grows quadratically with it."""
-    shortest = dict.fromkeys(sub.alphabet, 1)
-    for _ in range(level):
-        if min(shortest.values()) > size:
-            return True
-        shortest = {a: min(sum(shortest[c] for c in image)
-                           for image in sub.rule[a])
-                    for a in sub.alphabet}
-    return min(shortest.values()) > size
-
-
 def verify_certificate(cert: Certificate, ns, deep: bool = True) -> VerificationOutcome:
     """Replay the certificate over the given gap lengths with an engine
     independent of the construction; returns a counterexample on failure.
@@ -594,9 +583,7 @@ def verify_certificate(cert: Certificate, ns, deep: bool = True) -> Verification
 
     if cert.w_prime != cert.x + cert.source + cert.y:
         return fail(-1, "embedding split does not reassemble w_prime")
-    if (_outgrows(sub, cert.level, len(cert.w_prime))
-            or not build_dag(sub, cert.level).contains(cert.w_prime, "a",
-                                                       cert.level)):
+    if not build_dag(sub, cert.level).contains(cert.w_prime, "a", cert.level):
         return fail(-1, f"w_prime is not a level-{cert.level} inflation word of a")
     if cert.threshold != len(cert.y) + cert.n0:
         return fail(-1, "threshold does not equal |y| + n0")
@@ -644,14 +631,14 @@ def verify_certificate(cert: Certificate, ns, deep: bool = True) -> Verification
         """The context w u s whose legality finishes the check of n, or
         None and the reason the derivation for n fails."""
         try:
-            u, s, steps = _derive_witness(cert, n, scheme, derived)
+            digits = _gap_digits(cert, n, scheme)
+            u, s, steps = _derive_witness(cert, n, digits, derived)
         except (KeyError, ValueError) as exc:
             return None, f"derivation failed: {exc}"
         if len(u) != n:
             return None, f"witness has length {len(u)}, expected {n}"
         if s not in seeds:
             return None, f"witness seed {s!r} is not in the seed set"
-        scheme_digits = encode_greedy(scheme, n - len(cert.y)).digits
         running = ()
         for step in steps:
             running += (step.digit,)
@@ -661,7 +648,7 @@ def verify_certificate(cert: Certificate, ns, deep: bool = True) -> Verification
                 fault = bookkeeping[key] = step_fault(step, running)
             if fault:
                 return None, fault
-        if running != scheme_digits:
+        if running != digits:
             return None, "derivation consumed the wrong digit string"
         if deep and not _is_inflation_chain(sub, steps, base_alternatives, links):
             return None, "final element is not an inflation word of a"

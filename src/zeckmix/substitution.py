@@ -5,7 +5,9 @@ Words are plain strings over single-character letters.  Applying a rule to a
 word concatenates the image sets letter by letter; iterating from a single
 letter produces the level-n inflation word sets.  Enumerating operations are
 guarded because those sets grow super-exponentially; the DAG answers length,
-counting and membership queries without enumeration.
+counting and membership queries without enumeration, level by level from
+the bottom, and a membership query stops once the word's spans die out or
+repeat, however deep the level.
 """
 
 from __future__ import annotations
@@ -187,19 +189,41 @@ class InflationDag:
     Node (letter, n) stands for the set of level-n inflation words of
     `letter`; its alternatives are the rule images, each read as a sequence
     of level-(n-1) child nodes.  Lengths and realisation-path counts are
-    computed bottom-up without enumeration.  Instances are immutable after
-    construction apart from an append-only spell cache.
+    folded bottom-up without enumeration, up to the level asked for;
+    membership walks up the levels of the word's spans.  The per-level
+    table and the spell cache only ever store a value under its key equal
+    to itself, so threads that fill one DAG at once agree.
     """
 
     substitution: RandomSubstitution
     max_level: int
-    _lengths: dict = field(default_factory=dict, repr=False)
-    _paths: dict = field(default_factory=dict, repr=False)
+    _table: dict = field(default_factory=dict, repr=False)
     _spell_cache: dict = field(default_factory=dict, repr=False)
+
+    def _check_level(self, level: int) -> None:
+        if not 0 <= level <= self.max_level:
+            raise ValueError(f"level must lie in 0..{self.max_level}, "
+                             f"the levels the dag was built to")
+
+    def _fold(self, step, level: int) -> dict:
+        """{letter: value} at `level`, where a level-0 node's value is 1 and
+        `step` gives a node's value from its images and the values of the
+        level below.  Each level is computed once and stored under (step,
+        level)."""
+        self._check_level(level)
+        table, rule = self._table, self.substitution.rule
+        known = level
+        while known and (step, known) not in table:
+            known -= 1
+        values = table.get((step, known)) or dict.fromkeys(rule, 1)
+        for lvl in range(known + 1, level + 1):
+            values = {a: step(values, images) for a, images in rule.items()}
+            table[(step, lvl)] = values
+        return values
 
     def element_length(self, letter: str, level: int) -> int:
         """Common length of the node's words; StructureError if non-uniform."""
-        value = self._lengths[(letter, level)]
+        value = self._fold(_common_length, level)[letter]
         if value is None:
             raise StructureError(
                 f"node ({letter}, {level}) has words of several lengths"
@@ -209,28 +233,10 @@ class InflationDag:
     def path_count(self, letter: str, level: int) -> int:
         """Number of realisation paths (counts repeated words separately).
 
-        Computed on demand: the counts are exact big integers whose size
-        explodes with the level, so they are never built eagerly.
+        The counts are exact big integers whose size explodes with the
+        level, so only the levels up to the one asked for are computed.
         """
-        if level > self.max_level:
-            raise ValueError(f"dag was built to level {self.max_level}")
-        paths = self._paths
-        for a in self.substitution.alphabet:
-            paths.setdefault((a, 0), 1)
-        for lvl in range(1, level + 1):
-            if (letter, lvl) in paths and lvl < level:
-                continue
-            for a in self.substitution.alphabet:
-                if (a, lvl) in paths:
-                    continue
-                count = 0
-                for image in self.substitution.rule[a]:
-                    prod = 1
-                    for c in image:
-                        prod *= paths[(c, lvl - 1)]
-                    count += prod
-                paths[(a, lvl)] = count
-        return paths[(letter, level)]
+        return self._fold(_path_count, level)[letter]
 
     def words(self, letter: str, level: int, guard: int = 10**4) -> set[str]:
         """Enumerate the node's word set; guarded, for tests and small cases."""
@@ -267,61 +273,67 @@ class InflationDag:
         return spell_first(self.substitution, letter, level, self._spell_cache)
 
     def contains(self, word: str, letter: str, level: int) -> bool:
-        """Exact membership of `word` in the node's word set, by matching.
+        """Exact membership of `word` in the node's word set, bottom-up.
 
-        A node whose words share one length other than the word's is
-        rejected before matching, so a level whose words are far longer than
-        the word costs no recursion through its levels."""
-        n = len(word)
-        if self._lengths.get((letter, level)) not in (None, n):
-            return False
-        memo: dict = {}
+        Level l holds each letter's spans (i, j), those with word[i:j] a
+        level-l word of the letter; a span one level up chains, along one
+        of the letter's images, spans of the image's letters end to start.
+        A level's spans are a function of the level below, so the walk
+        answers False once no span is left and skips ahead by whole periods
+        once they repeat, however deep `level` is."""
+        self._check_level(level)
+        rule = self.substitution.rule
+        if letter not in rule:
+            raise KeyError(letter)
+        spans = {a: frozenset((i, i + 1) for i, c in enumerate(word) if c == a)
+                 for a in rule}
+        history, seen = [], {}
+        while len(history) < level:
+            vector = tuple(spans.values())
+            if not any(vector):
+                return False
+            first = seen.setdefault(vector, len(history))
+            if first < len(history):
+                spans = history[first + (level - first) % (len(history) - first)]
+                break
+            history.append(spans)
+            ends: dict = {}
+            for a, pairs in spans.items():
+                for i, j in pairs:
+                    ends.setdefault((a, i), []).append(j)
+            spans = {a: frozenset().union(*[_chain(spans[image[0]], image, ends)
+                                            for image in images])
+                     for a, images in rule.items()}
+        return (0, len(word)) in spans[letter]
 
-        def ends(start: int, a: str, lvl: int) -> frozenset:
-            key = (start, a, lvl)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-            if lvl == 0:
-                result = frozenset({start + 1} if start < n and word[start] == a else ())
-            else:
-                found = set()
-                for image in self.substitution.rule[a]:
-                    positions = {start}
-                    for child in image:
-                        positions = {
-                            e for p in positions for e in ends(p, child, lvl - 1)
-                        }
-                        if not positions:
-                            break
-                    found |= positions
-                result = frozenset(found)
-            memo[key] = result
-            return result
 
-        return n in ends(0, letter, level)
+def _common_length(values: dict, images) -> int | None:
+    """The length all words of a node share, or None when they differ."""
+    lengths = {None if None in parts else sum(parts)
+               for parts in ([values[c] for c in image] for image in images)}
+    return lengths.pop() if len(lengths) == 1 else None
+
+
+def _path_count(values: dict, images) -> int:
+    return sum(math.prod([values[c] for c in image]) for image in images)
+
+
+def _chain(reach, image: str, ends: dict) -> set:
+    """The spans (i, k) that split into consecutive spans of the image's
+    letters, given `reach`, the spans of its first letter, and `ends`, the
+    ends of each (letter, start)'s spans."""
+    for c in image[1:]:
+        if not reach:
+            break
+        reach = {(i, k) for i, j in reach for k in ends.get((c, j), ())}
+    return reach
 
 
 def build_dag(sub: RandomSubstitution, max_level: int) -> InflationDag:
+    """A DAG over levels 0..max_level; nothing is computed until asked."""
     if max_level < 0:
         raise ValueError("max_level must be nonnegative")
-    dag = InflationDag(sub, max_level)
-    lengths = dag._lengths
-    for a in sub.alphabet:
-        lengths[(a, 0)] = 1
-    for level in range(1, max_level + 1):
-        for a in sub.alphabet:
-            per_alt = []
-            for image in sub.rule[a]:
-                child_lengths = [lengths[(c, level - 1)] for c in image]
-                per_alt.append(
-                    None if None in child_lengths else sum(child_lengths)
-                )
-            uniform = per_alt[0]
-            if any(v != uniform for v in per_alt):
-                uniform = None
-            lengths[(a, level)] = uniform
-    return dag
+    return InflationDag(sub, max_level)
 
 
 def substitution_matrix(sub: RandomSubstitution) -> list[list[int]]:

@@ -10,17 +10,30 @@ brute-force legality oracle usable at levels where full enumeration blows
 up; `test_window_closure_matches_full_enumeration` pins the equivalence on
 ranges where both are feasible.
 
+`is_legal_bruteforce` decides legality by enumerating every inflation word
+set up to a level.
+
+`member_levels_top_down` decides inflation-word membership by matching each
+node's images against the word from the top level down, independently of
+the DAG's bottom-up walk over the word's spans.
+
 `replay_each` replays a certificate one gap length at a time, sharing
 nothing between gap lengths, as the reference for `verify_certificate`.
 """
 
+import functools
 import itertools
 
 from zeckmix.errors import GuardExceededError
 from zeckmix.language import is_legal
 from zeckmix.numeration import DigitString, decode, encode_greedy
 from zeckmix.semimixing import derive_witness
-from zeckmix.substitution import apply, apply_to_set, build_dag
+from zeckmix.substitution import (
+    DEFAULT_SET_GUARD,
+    apply,
+    apply_to_set,
+    build_dag,
+)
 
 
 def short_subwords(word, bound):
@@ -29,6 +42,43 @@ def short_subwords(word, bound):
         for j in range(i + 1, min(i + bound, len(word)) + 1):
             out.add(word[i:j])
     return out
+
+
+def is_legal_bruteforce(sub, u, max_level, guard=DEFAULT_SET_GUARD):
+    """Oracle by full enumeration of every inflation word set up to max_level."""
+    if not u:
+        raise ValueError("word must be non-empty")
+    current = {a: {a} for a in sub.alphabet}
+    for a in sub.alphabet:
+        if u in a:
+            return True
+    for _ in range(max_level):
+        for a in sub.alphabet:
+            current[a] = apply_to_set(sub, current[a], guard)
+            if any(u in w for w in current[a]):
+                return True
+    return False
+
+
+def member_levels_top_down(sub, word, letter, max_level):
+    """The levels <= max_level at which `word` is an inflation word of
+    `letter`: the ends reachable from each start are matched through each
+    image of each node, one recursion per level, memoised by (start,
+    letter, level) across all the levels asked for."""
+    @functools.lru_cache(maxsize=None)
+    def ends(start, a, lvl):
+        if lvl == 0:
+            return frozenset({start + 1} if word[start:start + 1] == a else ())
+        found = set()
+        for image in sub.rule[a]:
+            positions = {start}
+            for c in image:
+                positions = {e for p in positions for e in ends(p, c, lvl - 1)}
+            found |= positions
+        return frozenset(found)
+
+    return {level for level in range(max_level + 1)
+            if len(word) in ends(0, letter, level)}
 
 
 def window_closure(sub, bound, max_level):

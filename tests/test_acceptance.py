@@ -9,11 +9,10 @@ import math
 import random
 import time
 
-from oracles import window_closure
+from oracles import is_legal_bruteforce, window_closure
 
 from zeckmix.language import (
     is_legal,
-    is_legal_bruteforce,
     language_of_length,
 )
 from zeckmix.numeration import (

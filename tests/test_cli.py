@@ -214,6 +214,30 @@ def test_semimix_verify_large_level(tmp_path, level):
             "word of a") in result.stdout
 
 
+def test_dag_membership_at_deep_levels():
+    # membership walks up the levels of the word's spans and skips ahead
+    # once they repeat, so neither a rule whose words keep one short
+    # element at every level nor a level of 10**9 recurses or loops per level
+    code = "\n".join([
+        "from zeckmix.substitution import build_dag, make_substitution",
+        "mixed = make_substitution({'a': ('a', 'ab'), 'b': ('b',)})",
+        "cycle = make_substitution({'a': ('b',), 'b': ('c',), 'c': ('a',)})",
+        "fib = make_substitution({'a': ('ab', 'ba'), 'b': ('a',)})",
+        "print(build_dag(mixed, 3000).contains('ab', 'a', 3000))",
+        "deep = 10**9",
+        "print(*(build_dag(mixed, deep).contains(w, 'a', deep)",
+        "        for w in ('ab', 'a' + 'b' * 40, 'ba', 'aab')))",
+        "print(*(build_dag(cycle, deep + k).contains('a', 'a', deep + k)",
+        "        for k in range(3)))",
+        "print(build_dag(fib, deep).contains('abaab', 'a', deep))",
+    ])
+    result = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0 and "Traceback" not in result.stderr, result.stderr
+    assert result.stdout.splitlines() == [
+        "True", "True True False False", "False False True", "False"]
+
+
 @pytest.mark.parametrize("flags", [["--k", "30"], ["--k", "1"]])
 def test_family_parameter_range_is_checked_once(flags):
     # every command that builds a family rejects the same parameters

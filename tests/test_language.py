@@ -6,12 +6,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import is_legal_bruteforce
+
 from zeckmix.errors import GuardExceededError
 from zeckmix.language import (
     _pattern_search,
     _shared_extraction,
     is_legal,
-    is_legal_bruteforce,
     is_subword,
     language_of_length,
     pattern_witness,

@@ -187,10 +187,10 @@ def test_verify_certificate_reports_failures_in_order(monkeypatch):
     t = cert.threshold
     real = semimixing._derive_witness
 
-    def rigged(c, n, scheme, memo=None):
+    def rigged(c, n, digits, memo=None):
         if n == t + 4:
             raise GuardExceededError("rigged")
-        u, s, steps = real(c, n, scheme, memo)
+        u, s, steps = real(c, n, digits, memo)
         return ("b" * n if n == t + 2 else u), s, steps
 
     monkeypatch.setattr(semimixing, "_derive_witness", rigged)
@@ -344,8 +344,8 @@ def test_deep_verification_catches_broken_final_element(monkeypatch):
     bad_n = cert.threshold + 7
     real = semimixing._derive_witness
 
-    def broken_tail(c, n, scheme, memo=None):
-        u, s, steps = real(c, n, scheme, memo)
+    def broken_tail(c, n, digits, memo=None):
+        u, s, steps = real(c, n, digits, memo)
         if n == bad_n:
             last = steps[-1]
             keep = len(last.word) + len(last.seed)
@@ -384,7 +384,9 @@ def test_verify_certificate_builds_one_scheme(monkeypatch):
         assert len(built) == 1
     built.clear()
     assert derive_witness(cert, cert.threshold + 3) == \
-        semimixing._derive_witness(cert, cert.threshold + 3, real(FIB))
+        semimixing._derive_witness(
+            cert, cert.threshold + 3,
+            semimixing._gap_digits(cert, cert.threshold + 3, real(FIB)))
     assert len(built) == 1
 
 
@@ -395,8 +397,8 @@ def test_deep_verification_anchors_the_chain_at_level_two(monkeypatch):
     cert = certify(fib, FIB, "a")
     real = semimixing._derive_witness
 
-    def shifted_levels(c, n, scheme, memo=None):
-        u, s, steps = real(c, n, scheme, memo)
+    def shifted_levels(c, n, digits, memo=None):
+        u, s, steps = real(c, n, digits, memo)
         return u, s, [replace(steps[0], level=3)] + [
             replace(step, level=step.level + 1) for step in steps[1:]
         ]
@@ -434,8 +436,8 @@ def test_replay_rechecks_a_changed_step_at_a_shared_prefix(monkeypatch, order, p
     real = semimixing._derive_witness
     flip = {"a": "b", "b": "a"}
 
-    def broken_at_prefix(c, n, scheme, memo=None):
-        u, s, steps = real(c, n, scheme, memo)
+    def broken_at_prefix(c, n, digits, memo=None):
+        u, s, steps = real(c, n, digits, memo)
         if n == broken_n:
             step = steps[depth - 1]
             if part == "element":
@@ -450,7 +452,8 @@ def test_replay_rechecks_a_changed_step_at_a_shared_prefix(monkeypatch, order, p
     monkeypatch.setattr(semimixing, "_derive_witness", broken_at_prefix)
     ns = [small, big] if order == "small first" else [big, small]
     outcome = verify_certificate(cert, ns, deep=part == "element")
-    level = real(cert, small, FIB.scheme())[2][-1].level
+    digits = semimixing._gap_digits(cert, small, FIB.scheme())
+    level = real(cert, small, digits)[2][-1].level
     assert outcome.counterexample == (broken_n, {
         "element": "final element is not an inflation word of a",
         "seed": f"prefix invariant broken at level {level}"}[part])
@@ -715,15 +718,31 @@ def test_no_family_name_dispatch_in_library():
 def test_no_unused_imports_in_library():
     # a name a module imports but never reads is dead weight that hides
     # which layers depend on which; the package's __init__ re-exports its
-    # imports, so it is exempt
+    # imports, so it is exempt.  Likewise a top-level function or class
+    # that no file of the project names, by reading, attribute or import,
+    # is dead code
     import ast
     from pathlib import Path
 
+    package = Path(semimixing.__file__).parent
+    named = set()
+    for part in ("src", "tests", "scripts", "zbench"):
+        for path in (Path(__file__).resolve().parents[1] / part).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    named.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    named.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    named.add(node.name.split(".")[-1])
     found = []
-    for path in sorted(Path(semimixing.__file__).parent.glob("*.py")):
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{node.lineno} {node.name}" for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and node.name not in named]
         if path.name == "__init__.py":
             continue
-        tree = ast.parse(path.read_text(encoding="utf-8"))
         imported = {}
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":

@@ -1,10 +1,14 @@
+import itertools
 import math
+import sys
+import threading
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import single_positive_root_decimals
+from oracles import member_levels_top_down, single_positive_root_decimals
 
+from zeckmix import substitution
 from zeckmix.errors import (
     GuardExceededError,
     NonPrimitiveMatrixError,
@@ -177,12 +181,156 @@ def test_dag_contains():
     assert not deep.contains("", "a", 0) and deep.contains("a", "a", 0)
 
 
+# rules with images of several lengths, some letters of which only ever
+# rewrite to single letters, so that their words never grow
+rules_with_fixed_letters = st.sampled_from(["ab", "abc"]).flatmap(
+    lambda alpha: st.fixed_dictionaries({
+        a: st.one_of(
+            st.sets(st.text(alphabet=alpha, min_size=1, max_size=3),
+                    min_size=1, max_size=3),
+            st.sets(st.sampled_from(alpha), min_size=1, max_size=2))
+        for a in alpha
+    })
+)
+
+
+def _near_misses(data, sub, word):
+    """The word with one letter inserted, deleted or replaced."""
+    i = data.draw(st.integers(0, len(word)), label="position")
+    c = data.draw(st.sampled_from(sub.alphabet), label="letter")
+    return word[:i] + c + word[i:], word[:i] + word[i + 1:], word[:i] + c + word[i + 1:]
+
+
+@given(rule=rules_with_fixed_letters, data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_contains_matches_inflation_words(rule, data):
+    sub = make_substitution(rule)
+    letter = data.draw(st.sampled_from(sub.alphabet), label="node")
+    levels = []
+    for level in range(6):
+        try:
+            levels.append(inflation_words(sub, letter, level, guard=2000))
+        except GuardExceededError:
+            break
+    dag = build_dag(sub, len(levels) - 1)
+    level = data.draw(st.integers(0, len(levels) - 1), label="level")
+    member = data.draw(st.sampled_from(sorted(levels[level])), label="member")
+    for word in (member, *_near_misses(data, sub, member)):
+        for lvl, words in enumerate(levels):
+            assert dag.contains(word, letter, lvl) == (word in words), (word, lvl)
+
+
+@given(rule=rules_with_fixed_letters, data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_contains_matches_top_down_matching_at_deep_levels(rule, data):
+    # deep enough that the span vector repeats and the walk skips ahead
+    sub = make_substitution(rule)
+    letter = data.draw(st.sampled_from(sub.alphabet), label="node")
+    choose = data.draw(st.randoms(use_true_random=False))
+    word = letter
+    for _ in range(data.draw(st.integers(0, 6), label="realised levels")):
+        if len(word) > 10:
+            break
+        word = "".join(choose.choice(sub.rule[c]) for c in word)
+    dag = build_dag(sub, 40)
+    for candidate in (word, *_near_misses(data, sub, word)):
+        levels = {level for level in range(41)
+                  if dag.contains(candidate, letter, level)}
+        assert levels == member_levels_top_down(sub, candidate, letter, 40), candidate
+
+
+def test_contains_stops_at_the_first_level_without_spans(monkeypatch):
+    # fibonacci words outgrow any word: once no level-l word of any letter
+    # occurs in it, no later one does, and the walk composes no further level
+    chains = []
+    real = substitution._chain
+    monkeypatch.setattr(substitution, "_chain",
+                        lambda *args: chains.append(args) or real(*args))
+    fib = random_fibonacci()
+    dag = build_dag(fib, 10**9)
+    images_per_level = sum(len(images) for images in fib.rule.values())
+    for word in ("ab", "aa", "abaab", "aabaabab"):
+        chains.clear()
+        assert not dag.contains(word, "a", 10**9)
+        first_empty = next(
+            level for level in itertools.count()
+            if not any(dag.element_length(a, level) <= len(word)
+                       and any(w in word for w in dag.words(a, level))
+                       for a in fib.alphabet))
+        assert len(chains) == first_empty * images_per_level, word
+
+
+def test_dag_tables_shared_across_threads():
+    # threads that fill one dag's per-level table at once, from different
+    # levels and in different orders, read the answers a serial run gives
+    subs = [random_fibonacci(), random_tribonacci(), random_metallic(3),
+            make_substitution({"a": ("a", "ab"), "b": ("b",)})]
+
+    def answers(dag, order):
+        got = []
+        for level in order:
+            for a in dag.substitution.alphabet:
+                try:
+                    length = dag.element_length(a, level)
+                except StructureError:
+                    length = None
+                paths = dag.path_count(a, level) if level <= 14 else None
+                got.append((a, level, length, paths))
+        return sorted(got)
+
+    orders = [range(200), range(199, -1, -1), range(0, 200, 7),
+              [150, 3, 80, 14, 199, 0]]
+    jobs = [(i, order) for i in range(len(subs)) for order in orders]
+    serial = [answers(build_dag(subs[i], 199), order) for i, order in jobs]
+    dags = [build_dag(sub, 199) for sub in subs]
+    n_threads = 8
+    start = threading.Barrier(n_threads, timeout=60)
+    outcomes = [None] * n_threads
+    errors = []
+
+    def work(k):
+        try:
+            start.wait()
+            outcomes[k] = [answers(dags[i], order) for i, order in jobs[k:] + jobs[:k]]
+        except Exception as exc:  # reported below, on the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(k,), daemon=True)
+               for k in range(n_threads)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    for k, got in enumerate(outcomes):
+        assert got == serial[k:] + serial[:k], k
+
+
 def test_dag_spell_any():
     dag = build_dag(random_fibonacci(), 8)
     for n in (0, 3, 6):
         word = dag.spell_any("a", n)
         assert len(word) == dag.element_length("a", n)
         assert dag.contains(word, "a", n)
+
+
+def test_dag_rejects_levels_it_was_not_built_to():
+    dag = build_dag(random_fibonacci(), 3)
+    for level in (-1, 4):
+        for query in (lambda: dag.element_length("a", level),
+                      lambda: dag.path_count("a", level),
+                      lambda: dag.contains("abaab", "a", level)):
+            with pytest.raises(ValueError):
+                query()
+    assert dag.element_length("a", 3) == 5 and dag.path_count("a", 3) == 16
+    with pytest.raises(KeyError):
+        dag.contains("a", "x", 0)
 
 
 def test_non_uniform_length_reported():
