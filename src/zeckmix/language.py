@@ -64,6 +64,9 @@ from .substitution import (
 
 WILDCARD = "?"
 _LEVEL_SAFETY_CAP = 4096
+# the most pattern characters `_Block.search` puts in one batch, which bounds
+# the width of a level's bitsets however many patterns a block searches
+_BATCH_CHARS = 20_000
 
 # the `_Block` of the `_shared_extraction` block running in this thread or
 # task; None outside one
@@ -674,10 +677,18 @@ class _Block:
         self.searched = {}
 
     def search(self, patterns):
-        """Search, as one batch, the patterns not searched in this block yet."""
+        """Search the patterns not searched in this block yet, in consecutive
+        batches of at most _BATCH_CHARS characters (a longer pattern alone)."""
         new = [p for p in dict.fromkeys(patterns) if p and p not in self.searched]
-        if new:
-            self.searched.update(zip(new, _pattern_search(self.sub, new)))
+        start = 0
+        while start < len(new):
+            end, size = start + 1, len(new[start])
+            while end < len(new) and size + len(new[end]) <= _BATCH_CHARS:
+                size += len(new[end])
+                end += 1
+            batch = new[start:end]
+            self.searched.update(zip(batch, _pattern_search(self.sub, batch)))
+            start = end
 
 
 @contextmanager
@@ -687,12 +698,13 @@ def _shared_extraction(sub: RandomSubstitution):
 
     The witness extractions share one memo, and the witnesses are the same
     as without it (see `_Extractor`).  `search` on the yielded `_Block`
-    decides a batch of patterns in one lane-parallel search; a later call
-    with default keywords on one of those patterns reads its lane instead
-    of searching again.  A lane's verdict, level, letter and history are
-    those of a search of its pattern alone (see the module docstring), so
-    every answer is the same as without the block.  Other threads, and
-    calls on other substitutions, keep a fresh memo and search per call."""
+    decides a list of patterns in lane-parallel searches of bounded width,
+    one lane per pattern; a later call with default keywords on one of
+    those patterns reads its lane instead of searching again.  A lane's
+    verdict, level, letter and history are those of a search of its
+    pattern alone (see the module docstring), so every answer is the same
+    as without the block.  Other threads, and calls on other
+    substitutions, keep a fresh memo and search per call."""
     token = _SHARED_MEMO.set(_Block(sub))
     try:
         yield _SHARED_MEMO.get()

@@ -77,22 +77,6 @@ class LinearRecurrence:
                 terms.append(nxt)
 
 
-def fibonacci_recurrence() -> LinearRecurrence:
-    return _metallic_pisa_recurrence(2, 1, "fibonacci")
-
-
-def tribonacci_recurrence() -> LinearRecurrence:
-    return _metallic_pisa_recurrence(3, 1, "tribonacci")
-
-
-def kbonacci_recurrence(k: int) -> LinearRecurrence:
-    return _metallic_pisa_recurrence(k, 1, f"{k}-bonacci")
-
-
-def metallic_recurrence(m: int) -> LinearRecurrence:
-    return _metallic_pisa_recurrence(2, m, f"metallic-{m}")
-
-
 def metallic_pisa_recurrence(k: int, m: int) -> LinearRecurrence:
     return _metallic_pisa_recurrence(k, m, f"metallic-pisa-{k}-{m}")
 
@@ -160,19 +144,19 @@ class NumerationScheme:
 
 
 def fibonacci_scheme() -> NumerationScheme:
-    return _family_scheme(fibonacci_recurrence(), "fibonacci")
+    return _family_scheme(_metallic_pisa_recurrence(2, 1, "fibonacci"), "fibonacci")
 
 
 def tribonacci_scheme() -> NumerationScheme:
-    return _family_scheme(tribonacci_recurrence(), "tribonacci")
+    return _family_scheme(_metallic_pisa_recurrence(3, 1, "tribonacci"), "tribonacci")
 
 
 def kbonacci_scheme(k: int) -> NumerationScheme:
-    return _family_scheme(kbonacci_recurrence(k), "kbonacci", k)
+    return _family_scheme(_metallic_pisa_recurrence(k, 1, f"{k}-bonacci"), "kbonacci", k)
 
 
 def metallic_scheme(m: int) -> NumerationScheme:
-    return _family_scheme(metallic_recurrence(m), "metallic", m)
+    return _family_scheme(_metallic_pisa_recurrence(2, m, f"metallic-{m}"), "metallic", m)
 
 
 def metallic_pisa_scheme(k: int, m: int) -> NumerationScheme:

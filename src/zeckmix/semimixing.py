@@ -50,6 +50,7 @@ from .language import (
     LegalityVerdict,
     _shared_extraction,
     is_legal,
+    language_of_length,
     pattern_witness,
 )
 from .numeration import (
@@ -264,8 +265,6 @@ def make_seed_set(sub: RandomSubstitution, words) -> SeedSet:
     for w in words:
         if not is_legal(sub, w, want_witness=False).legal:
             raise IllegalWordError(f"seed word {w!r} is not legal")
-    from .language import language_of_length
-
     full = set(language_of_length(sub, length))
     if not set(words) < full:
         raise ValueError(
@@ -655,7 +654,8 @@ def verify_certificate(cert: Certificate, ns, deep: bool = True) -> Verification
         return cert.source + u + s, None
 
     # every derivation is checked first, up to the first that fails, and
-    # the contexts they leave are then decided as one batch; the outcome is
+    # the contexts they leave are then decided together, in batches of
+    # bounded total length (`_Block.search`); the outcome is
     # that of checking each n in turn, context included, since the contexts
     # are read back in order and the first illegal one ends the replay
     contexts = []

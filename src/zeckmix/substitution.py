@@ -171,14 +171,17 @@ def inflation_words(sub, letter: str, n: int, guard: int = DEFAULT_SET_GUARD) ->
 def spell_first(sub: RandomSubstitution, letter: str, level: int,
                 cache: dict) -> str:
     """The level-`level` inflation word of `letter` that takes the first
-    image everywhere; `cache` holds the words spelled so far, keyed by
-    (letter, level)."""
+    image everywhere: sigma^level(letter) for the morphism sigma sending
+    each letter to its first image, spelled by translating `level` times.
+    `cache` holds the words spelled so far, keyed by (letter, level)."""
     key = (letter, level)
     word = cache.get(key)
     if word is None:
-        word = cache[key] = letter if level == 0 else "".join([
-            spell_first(sub, c, level - 1, cache) for c in sub.rule[letter][0]
-        ])
+        first = {ord(a): images[0] for a, images in sub.rule.items()}
+        word = letter
+        for _ in range(level):
+            word = word.translate(first)
+        cache[key] = word
     return word
 
 
@@ -190,15 +193,15 @@ class InflationDag:
     `letter`; its alternatives are the rule images, each read as a sequence
     of level-(n-1) child nodes.  Lengths and realisation-path counts are
     folded bottom-up without enumeration, up to the level asked for;
-    membership walks up the levels of the word's spans.  The per-level
-    table and the spell cache only ever store a value under its key equal
-    to itself, so threads that fill one DAG at once agree.
+    membership walks up the levels of the word's spans; `spell_any` spells
+    one element by `spell_first`.  The per-level table is the only state,
+    and it only ever stores a value under its key equal to itself, so
+    threads that fill one DAG at once agree.
     """
 
     substitution: RandomSubstitution
     max_level: int
     _table: dict = field(default_factory=dict, repr=False)
-    _spell_cache: dict = field(default_factory=dict, repr=False)
 
     def _check_level(self, level: int) -> None:
         if not 0 <= level <= self.max_level:
@@ -238,39 +241,10 @@ class InflationDag:
         """
         return self._fold(_path_count, level)[letter]
 
-    def words(self, letter: str, level: int, guard: int = 10**4) -> set[str]:
-        """Enumerate the node's word set; guarded, for tests and small cases."""
-        memo: dict = {}
-
-        def rec(a, n):
-            key = (a, n)
-            if key in memo:
-                return memo[key]
-            if n == 0:
-                memo[key] = {a}
-                return memo[key]
-            out = set()
-            for image in self.substitution.rule[a]:
-                parts = {""}
-                for child in image:
-                    parts = {p + q for p in parts for q in rec(child, n - 1)}
-                    if len(parts) > guard:
-                        raise GuardExceededError(
-                            f"dag enumeration exceeds the {guard}-word guard"
-                        )
-                out |= parts
-                if len(out) > guard:
-                    raise GuardExceededError(
-                        f"dag enumeration exceeds the {guard}-word guard"
-                    )
-            memo[key] = out
-            return out
-
-        return rec(letter, level)
-
     def spell_any(self, letter: str, level: int) -> str:
         """One concrete element of the node (first image everywhere)."""
-        return spell_first(self.substitution, letter, level, self._spell_cache)
+        self._check_level(level)
+        return spell_first(self.substitution, letter, level, {})
 
     def contains(self, word: str, letter: str, level: int) -> bool:
         """Exact membership of `word` in the node's word set, bottom-up.

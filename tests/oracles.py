@@ -17,6 +17,9 @@ set up to a level.
 node's images against the word from the top level down, independently of
 the DAG's bottom-up walk over the word's spans.
 
+`first_image_word` rewrites every letter to its first image, one level at
+a time, as the reference for `spell_first`.
+
 `replay_each` replays a certificate one gap length at a time, sharing
 nothing between gap lengths, as the reference for `verify_certificate`.
 """
@@ -79,6 +82,15 @@ def member_levels_top_down(sub, word, letter, max_level):
 
     return {level for level in range(max_level + 1)
             if len(word) in ends(0, letter, level)}
+
+
+def first_image_word(sub, letter, level):
+    """The level-`level` inflation word of `letter` that takes the first
+    image of every letter, rewritten letter by letter, level by level."""
+    word = letter
+    for _ in range(level):
+        word = "".join(sub.rule[c][0] for c in word)
+    return word
 
 
 def window_closure(sub, bound, max_level):

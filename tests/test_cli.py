@@ -183,12 +183,13 @@ def test_semimix_verify_foreign_seed_letter(tmp_path):
             in result.stdout)
 
 
-def _cap_address_space():
-    # runs in the child only: 256 MB of address space, where a table of
-    # every level's length up to level 100,000 needs about a gigabyte
-    import resource
+def _address_space_cap(megabytes):
+    """A preexec_fn capping the child's address space at `megabytes`."""
+    def cap():
+        import resource
 
-    resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+        resource.setrlimit(resource.RLIMIT_AS, (megabytes << 20, megabytes << 20))
+    return cap
 
 
 @pytest.mark.parametrize("level", [600, 5000, 100000])
@@ -196,7 +197,8 @@ def test_semimix_verify_large_level(tmp_path, level):
     # a level far above the word's length is rejected without matching down
     # through every level or tabulating every level's length, in a fresh
     # interpreter with capped memory so that a RecursionError or
-    # MemoryError traceback would show
+    # MemoryError traceback would show: 256 MB of address space, where a
+    # table of every level's length up to level 100,000 needs about a gigabyte
     lines = [f"level: {level}" if line.startswith("level:") else line
              for line in certificate_report(certify(
                  random_fibonacci(), Family("fibonacci"), "ab")).splitlines()]
@@ -206,12 +208,32 @@ def test_semimix_verify_large_level(tmp_path, level):
         [sys.executable, "-m", "zeckmix.cli", "semimix", "verify",
          "--cert", str(cert_path)],
         env=src_env(), capture_output=True, text=True, timeout=60,
-        preexec_fn=_cap_address_space,
+        preexec_fn=_address_space_cap(256),
     )
     assert result.returncode == 1, result.stderr
     assert "Traceback" not in result.stderr
     assert (f"counterexample: n=-1 w_prime is not a level-{level} inflation "
             "word of a") in result.stdout
+
+
+def test_semimix_verify_long_span_in_bounded_memory(tmp_path):
+    # a span's contexts are searched in batches of bounded total length, so
+    # a level's bitsets do not widen with the span: span 2,000 needs between
+    # 50 and 55 MB of address space, and one batch of all 2,001 contexts
+    # between 77 and 80 MB
+    cert_path = tmp_path / "cert.txt"
+    cert_path.write_text(certificate_report(
+        certify(random_fibonacci(), Family("fibonacci"), "a")) + "\n",
+        encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "zeckmix.cli", "semimix", "verify",
+         "--cert", str(cert_path), "--span", "2000"],
+        env=src_env(), capture_output=True, text=True, timeout=120,
+        preexec_fn=_address_space_cap(64),
+    )
+    assert result.returncode == 0, result.stderr
+    assert "verified: true" in result.stdout
+    assert "checked: 2001" in result.stdout
 
 
 def test_dag_membership_at_deep_levels():
@@ -236,6 +258,22 @@ def test_dag_membership_at_deep_levels():
     assert result.returncode == 0 and "Traceback" not in result.stderr, result.stderr
     assert result.stdout.splitlines() == [
         "True", "True True False False", "False False True", "False"]
+
+
+def test_dag_spelling_at_deep_levels():
+    # the first-image word is spelled by translating once per level, so a
+    # rule whose words keep one short element at every level spells it at
+    # any level the dag was built to without recursing per level
+    code = "\n".join([
+        "from zeckmix.substitution import build_dag, make_substitution",
+        "mixed = make_substitution({'a': ('a', 'ab'), 'b': ('b',)})",
+        "dag = build_dag(mixed, 5000)",
+        "print(dag.spell_any('a', 3000), dag.spell_any('b', 3000))",
+    ])
+    result = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0 and "Traceback" not in result.stderr, result.stderr
+    assert result.stdout.splitlines() == ["a b"]
 
 
 @pytest.mark.parametrize("flags", [["--k", "30"], ["--k", "1"]])

@@ -6,7 +6,11 @@ import threading
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import member_levels_top_down, single_positive_root_decimals
+from oracles import (
+    first_image_word,
+    member_levels_top_down,
+    single_positive_root_decimals,
+)
 
 from zeckmix import substitution
 from zeckmix.errors import (
@@ -38,6 +42,7 @@ from zeckmix.substitution import (
     random_kbonacci,
     random_metallic,
     random_tribonacci,
+    spell_first,
     substitution_matrix,
 )
 
@@ -142,26 +147,13 @@ def test_dag_length_examples():
     assert build_dag(random_metallic(2), 3).element_length("b", 3) == 7
 
 
-def test_dag_words_agree_with_enumeration():
-    for sub in (random_fibonacci(), random_tribonacci(), random_metallic(2),
-                random_metallic(3), random_kbonacci(4), metallic_pisa(3, 2)):
-        dag = build_dag(sub, 4)
-        for letter in sub.alphabet:
-            for n in range(5):
-                try:
-                    expect = inflation_words(sub, letter, n, guard=10**4)
-                except GuardExceededError:
-                    continue
-                assert dag.words(letter, n, guard=10**4) == expect
-
-
 def test_dag_path_counts():
     dag = build_dag(random_fibonacci(), 6)
     # paths(a, n+1) = 2 * paths(a, n) * paths(b, n); paths(b, n+1) = paths(a, n)
     assert [dag.path_count("a", n) for n in range(7)] == [1, 2, 4, 16, 128, 4096, 1048576]
     assert dag.path_count("b", 3) == 4
     # distinct words are far fewer than paths
-    assert len(dag.words("a", 3)) == 8 < 16
+    assert len(inflation_words(random_fibonacci(), "a", 3)) == 8 < 16
 
 
 def test_dag_contains():
@@ -255,7 +247,7 @@ def test_contains_stops_at_the_first_level_without_spans(monkeypatch):
         first_empty = next(
             level for level in itertools.count()
             if not any(dag.element_length(a, level) <= len(word)
-                       and any(w in word for w in dag.words(a, level))
+                       and any(w in word for w in inflation_words(fib, a, level))
                        for a in fib.alphabet))
         assert len(chains) == first_empty * images_per_level, word
 
@@ -320,12 +312,35 @@ def test_dag_spell_any():
         assert dag.contains(word, "a", n)
 
 
+@given(sub=st.one_of(
+           st.sampled_from([random_fibonacci(), random_tribonacci(),
+                            random_metallic(2), random_kbonacci(4),
+                            metallic_pisa(3, 2)]),
+           rules_with_fixed_letters.map(make_substitution)),
+       data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_spell_first_takes_the_first_image_everywhere(sub, data):
+    # one cache serves every query, as the extractor's memo does
+    queries = data.draw(st.lists(st.tuples(st.sampled_from(sub.alphabet),
+                                           st.integers(0, 10)),
+                                 min_size=1, max_size=4), label="queries")
+    dag = build_dag(sub, 10)
+    cache = {}
+    for letter, level in queries:
+        word = spell_first(sub, letter, level, cache)
+        assert word == first_image_word(sub, letter, level), (letter, level)
+        assert cache[(letter, level)] == word == dag.spell_any(letter, level)
+        if len(word) <= 100:
+            assert dag.contains(word, letter, level), (letter, level)
+
+
 def test_dag_rejects_levels_it_was_not_built_to():
     dag = build_dag(random_fibonacci(), 3)
-    for level in (-1, 4):
+    for level in (-1, 4, 30):
         for query in (lambda: dag.element_length("a", level),
                       lambda: dag.path_count("a", level),
-                      lambda: dag.contains("abaab", "a", level)):
+                      lambda: dag.contains("abaab", "a", level),
+                      lambda: dag.spell_any("a", level)):
             with pytest.raises(ValueError):
                 query()
     assert dag.element_length("a", 3) == 5 and dag.path_count("a", 3) == 16
