@@ -594,6 +594,18 @@ def test_fault_injection_detected():
     assert verify_certificate(benign, range(benign.threshold, benign.threshold + 5)).ok
 
 
+@pytest.mark.parametrize("deep", [True, False])
+def test_missing_letter_image_fails_the_derivation(deep):
+    # a letter the certificate gives no image stops the derivation that
+    # first expands it, rather than passing through unexpanded
+    cert = certify(random_fibonacci(), FIB, "a")
+    bad = replace(cert, letter_images={"a": "ab"})
+    outcome = verify_certificate(
+        bad, range(bad.threshold, bad.threshold + 30), deep=deep)
+    assert (outcome.ok, outcome.checked, outcome.counterexample) == \
+        (False, 2, (5, "derivation failed: 'b'"))
+
+
 def test_fault_injection_random_corruptions():
     import random as rnd
 
