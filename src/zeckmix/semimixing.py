@@ -460,7 +460,9 @@ def certify(sub: RandomSubstitution, family: Family, w: str) -> Certificate:
 
 
 def _expand(images: dict[str, str], word: str) -> str:
-    return "".join(images[c] for c in word)
+    """`word` with each letter replaced by its image; KeyError names the
+    first letter `images` lacks."""
+    return "".join(map(images.__getitem__, word))
 
 
 def derive_witness(cert: Certificate, n: int) -> tuple[str, str, list[DerivationStep]]:

@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 import string
 from dataclasses import dataclass, field
-from itertools import zip_longest
+from functools import cached_property
+from itertools import accumulate, zip_longest
 
 from .errors import (
     GuardExceededError,
@@ -36,6 +37,12 @@ class RandomSubstitution:
 
     def images(self, letter: str) -> tuple[str, ...]:
         return self.rule[letter]
+
+    @cached_property
+    def first_images(self) -> dict[str, str]:
+        """{letter: first image}, the morphism that `spell_first` iterates
+        and `in_image` trims by; built on first use."""
+        return {a: images[0] for a, images in self.rule.items()}
 
     def __str__(self) -> str:
         return format_rules(self)
@@ -132,13 +139,34 @@ def in_image(sub: RandomSubstitution, word: str, image: str) -> bool:
     Letter images are matched left to right against `image`, keeping the set
     of end positions some choice of images for the letters read so far can
     reach.  The set never holds more than len(image) + 1 positions, so the
-    check is exact for rules whose images differ in length; for
-    constant-length rules it holds at most one position, so the check is
-    linear.  Every letter of `word` is looked up, so an unknown letter raises
-    KeyError as in apply.
+    match is exact for rules whose images differ in length; a rule that is
+    not `uniform_length` takes it over the whole word.
+
+    When each letter's images share one length, `word` alone fixes the slot
+    each letter's image fills, whichever images are chosen.  The first-image
+    spelling of `word` then rejects a wrong length at once, and a leading or
+    trailing run of letters whose first images fill their slots needs no
+    match; bisection finds the longest such runs, and the match runs on the
+    letters between them.  Where images of one letter differ in length the
+    slots move with the choices (with a -> {a, aa}, aaa is an image of aa),
+    so this trim is only exact for uniform lengths.  Every letter of `word`
+    is looked up, so an unknown letter raises KeyError as in apply.
     """
     if not word:
         raise ValueError("word must be non-empty")
+    if sub.uniform_length:
+        chunks = list(map(sub.first_images.__getitem__, word))
+        starts = [0, *accumulate(map(len, chunks))]
+        if starts[-1] != len(image):
+            return False
+        spelled = "".join(chunks)
+        if spelled == image:
+            return True
+        m = len(word)
+        head = _longest(m - 1, lambda k: image.startswith(spelled[:starts[k]]))
+        tail = _longest(m - 1 - head,
+                        lambda k: image.endswith(spelled[starts[m - k]:]))
+        word, image = word[head:m - tail], image[starts[head]:starts[m - tail]]
     ends = {0}
     for letter in word:
         images = sub.rule[letter]
@@ -147,6 +175,19 @@ def in_image(sub: RandomSubstitution, word: str, image: str) -> bool:
             for end in ends for img in images if image.startswith(img, end)
         }
     return len(image) in ends
+
+
+def _longest(most: int, holds) -> int:
+    """The largest k in 0..most with holds(k), by bisection; holds(0) is
+    true, and holds(k) is true for every k below one where it holds."""
+    k = 0
+    while k < most:
+        mid = (k + most + 1) // 2
+        if holds(mid):
+            k = mid
+        else:
+            most = mid - 1
+    return k
 
 
 def apply_to_set(sub, words, guard: int = DEFAULT_SET_GUARD) -> set[str]:
@@ -177,7 +218,7 @@ def spell_first(sub: RandomSubstitution, letter: str, level: int,
     key = (letter, level)
     word = cache.get(key)
     if word is None:
-        first = {ord(a): images[0] for a, images in sub.rule.items()}
+        first = str.maketrans(sub.first_images)
         word = letter
         for _ in range(level):
             word = word.translate(first)

@@ -599,6 +599,93 @@ def test_in_image_matches_dag_on_long_images(data):
         assert in_image(sub, word, candidate) == dag.contains(candidate, "s", 2)
 
 
+uniform_length_rules = st.sampled_from(["ab", "abc"]).flatmap(
+    lambda alpha: st.fixed_dictionaries({
+        a: st.integers(1, 3).flatmap(
+            lambda size, alpha=alpha: st.sets(
+                st.text(alphabet=alpha, min_size=size, max_size=size),
+                min_size=1, max_size=3))
+        for a in alpha
+    })
+)
+
+
+@st.composite
+def trimmed_image_cases(draw):
+    """A uniform-length rule, a word, and the word's first-image spelling
+    with 0-3 slots re-chosen at the first letter, at the last, in adjacent
+    positions or in the middle; with the character span of the re-chosen
+    slots, the window the trims leave."""
+    sub = draw(st.one_of(
+        st.sampled_from([random_fibonacci(), random_tribonacci(),
+                         random_metallic(2), random_kbonacci(4),
+                         metallic_pisa(3, 2)]),
+        uniform_length_rules.map(make_substitution)))
+    size = draw(st.sampled_from([(1, 6), (20, 60)]), label="size")
+    word = draw(st.text(alphabet="".join(sub.alphabet), min_size=size[0],
+                        max_size=size[1]))
+    m, count = len(word), draw(st.integers(0, 3))
+    where = draw(st.sampled_from(["first", "last", "adjacent", "middle"]))
+    if where == "first":
+        slots = range(min(count, m))
+    elif where == "last":
+        slots = range(max(m - count, 0), m)
+    elif where == "adjacent":
+        start = draw(st.integers(0, m - 1))
+        slots = range(start, min(start + count, m))
+    else:
+        inner = range(1, m - 1) if m > 2 else range(m)
+        slots = sorted(set(draw(st.lists(st.sampled_from(inner),
+                                         min_size=count, max_size=count))))
+    chunks = [sub.rule[c][0] for c in word]
+    for i in slots:
+        chunks[i] = draw(st.sampled_from(sub.rule[word[i]][1:] or sub.rule[word[i]]))
+    starts = list(itertools.accumulate(map(len, chunks), initial=0))
+    window = (starts[min(slots)], starts[max(slots) + 1]) if slots else None
+    return sub, word, "".join(chunks), window
+
+
+@given(case=trimmed_image_cases(), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_trimmed_in_image_matches_oracles(case, data):
+    # short words against apply; long ones against the DAG of a fresh
+    # letter whose only image is the word, as in the test above
+    sub, word, member, window = case
+    if len(word) <= 6:
+        images = apply(sub, word)
+        oracle = images.__contains__
+    else:
+        dag = build_dag(make_substitution({**sub.rule, "s": (word,)}), 2)
+
+        def oracle(candidate):
+            return dag.contains(candidate, "s", 2)
+    assert in_image(sub, word, member) and oracle(member)
+    # near misses at the window's edges, or anywhere when nothing changed
+    if window is None:
+        edges = [data.draw(st.integers(0, len(member) - 1), label="edge")]
+    else:
+        edges = [window[0] - 1, window[0], window[1] - 1, window[1]]
+    letter = data.draw(st.sampled_from(sub.alphabet + ("z",)), label="letter")
+    for i in edges:
+        if not 0 <= i <= len(member):
+            continue
+        for near in (member[:i] + letter + member[i + 1:],
+                     member[:i] + member[i + 1:i + 2] + member[i:i + 1] + member[i + 2:],
+                     member[:i] + letter + member[i:],
+                     member[:i] + member[i + 1:]):
+            assert in_image(sub, word, near) == oracle(near), (i, near)
+
+
+def test_in_image_trims_only_uniform_length_rules():
+    # with images of several lengths the slots move: a|aa and aa|a both
+    # spell aaa, so the first-image trim must not run
+    sub = make_substitution({"a": ("a", "aa"), "b": ("ab",)})
+    assert in_image(sub, "aa", "aaa") and in_image(sub, "aba", "aabaa")
+    assert "first_images" not in vars(sub)
+    fib = random_fibonacci()
+    assert in_image(fib, "ab", "baa") and "first_images" in vars(fib)
+
+
 def test_rules_text_round_trip():
     for sub in (random_fibonacci(), random_tribonacci(), random_metallic(3)):
         text = format_rules(sub)
