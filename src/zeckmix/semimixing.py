@@ -561,8 +561,11 @@ def verify_certificate(cert: Certificate, ns, deep: bool = True) -> Verification
     of the previous step's element (`in_image`), one level higher, and the
     chain must start at a base element, which the preamble checks against
     the level-2 DAG.  Induction along the chain gives the claim: a word in
-    the image of a level-k word of a is a level-(k+1) word of a.  Each
-    check is linear in the element for constant-length rules.
+    the image of a level-k word of a is a level-(k+1) word of a.  Every
+    certified family has images of one length per letter, so each check
+    spells the previous element by first images and matches letter by
+    letter only where the element departs from that spelling, which for
+    a step is the seed's image.
 
     A step is a function of its digit prefix alone: the base step is the
     base-table row of the leading digit, and each later step is built from

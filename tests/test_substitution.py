@@ -612,10 +612,10 @@ uniform_length_rules = st.sampled_from(["ab", "abc"]).flatmap(
 
 @st.composite
 def trimmed_image_cases(draw):
-    """A uniform-length rule, a word, and the word's first-image spelling
-    with 0-3 slots re-chosen at the first letter, at the last, in adjacent
-    positions or in the middle; with the character span of the re-chosen
-    slots, the window the trims leave."""
+    """A uniform-length rule, a word, the word's first-image spelling with
+    0-3 slots re-chosen at the first letter, at the last, in adjacent
+    positions or in the middle, and the character span of the re-chosen
+    slots, which holds the window the trims leave (None if none was)."""
     sub = draw(st.one_of(
         st.sampled_from([random_fibonacci(), random_tribonacci(),
                          random_metallic(2), random_kbonacci(4),
