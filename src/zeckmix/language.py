@@ -223,8 +223,7 @@ def _keep(profiles, keep):
 
 class _LaneHistory(dict):
     """The per-level profiles of one lane of a batched search, each level
-    projected out of the packed history by `(bits >> shift) & mask` when
-    first read."""
+    a `_LaneLevel` made when first read."""
 
     __slots__ = ("packed", "shift", "mask")
 
@@ -232,14 +231,39 @@ class _LaneHistory(dict):
         self.packed, self.shift, self.mask = packed, shift, mask
 
     def __missing__(self, level):
-        shift, mask = self.shift, self.mask
-        got = self[level] = {
-            a: (occ >> shift & mask, sp >> shift & mask, ps >> shift & mask,
-                tuple((length, s >> shift & mask) for length, s in spans
-                      if s >> shift & mask))
-            for a, (occ, sp, ps, spans) in self.packed[level].items()
-        }
+        got = self[level] = _LaneLevel(self.packed[level], self.shift,
+                                       self.mask)
         return got
+
+
+class _LaneLevel(dict):
+    """One level of a lane: each letter's profile is projected out of the
+    packed level by `(bits >> shift) & mask` when first read.  It compares
+    equal to the dict of every letter's profile."""
+
+    __slots__ = ("packed", "shift", "mask")
+
+    def __init__(self, packed, shift, mask):
+        self.packed, self.shift, self.mask = packed, shift, mask
+
+    def __missing__(self, letter):
+        shift, mask = self.shift, self.mask
+        occ, sp, ps, spans = self.packed[letter]
+        got = self[letter] = (
+            occ >> shift & mask, sp >> shift & mask, ps >> shift & mask,
+            tuple((length, s >> shift & mask) for length, s in spans
+                  if s >> shift & mask))
+        return got
+
+    def state(self):
+        """Every letter's profile, in alphabet order."""
+        return tuple(map(self.__getitem__, self.packed))
+
+    def __eq__(self, other):
+        return dict(zip(self.packed, self.state())) == other
+
+    def __ne__(self, other):
+        return not self == other
 
 
 def _last_level(history, min_level):
@@ -249,7 +273,7 @@ def _last_level(history, min_level):
     first_seen = {}
     level = 0
     while True:
-        start = first_seen.setdefault(_profile_state(history[level]), level)
+        start = first_seen.setdefault(history[level].state(), level)
         if start < level:
             return max(level, min_level + level - 1 - start)
         level += 1
@@ -404,15 +428,15 @@ class _Extractor:
         restart gives a `tail` chunk and ends the walk.
 
     `exact` and `head` use `_plan`; `tail` and the straddle case of
-    `occurrence` use `_back`.  `_join` spells every child that no walk
+    `occurrence` use `_back`.  `_spelled` spells every child that no walk
     claimed with the first image everywhere.
 
-    `exact`, `tail` and `head` are memoised in `memo`, keyed by the slice
-    of the pattern that each answer depends on:
+    `exact`, `tail` and `head` chunks are memoised in `memo`, keyed by the
+    slice of the pattern that each answer depends on:
 
-      * exact(i, j, c, k) by (pattern[i:j], c, k)
-      * tail(t, c, k)     by (pattern[:t], c, k)
-      * head(p, c, k)     by (pattern[p:], c, k)
+      * exact(i, j, c, k) by ("exact", pattern[i:j], c, k)
+      * tail(t, c, k)     by ("tail", pattern[:t], c, k)
+      * head(p, c, k)     by ("head", pattern[p:], c, k)
 
     A profile bit at a level is a fact about the pattern slice it names:
     span bit (L, i) says pattern[i:i+L] is an element, sp bit t says
@@ -423,8 +447,8 @@ class _Extractor:
     The search order that picks the first realisation (images in rule
     order, children left to right, a child's ps bit before its spans,
     element ends ascending, the first way `_advance` reached a progress)
-    is fixed by those same bits, and so are the recursive calls an answer
-    makes.  Each answer is therefore a function of its key alone: `exact`
+    is fixed by those same bits, and so are the lower-level chunks an answer
+    joins.  Each answer is therefore a function of its key alone: `exact`
     gives the same element for its slice at any offset of any pattern,
     `tail` for every pattern with that prefix, and `head` for every pattern
     with that suffix.  One key thus covers an all-'?' run wherever it sits,
@@ -435,6 +459,17 @@ class _Extractor:
     A memo may therefore serve many patterns, but only of one substitution,
     and it belongs to one call of a public operation (`pattern_witness`,
     `is_legal`, or a whole `check_empirical` via `_shared_extraction`).
+
+    No step takes a Python frame per level.  `_build` keeps the chunks
+    still to be built on one explicit stack: a chunk is pushed as (key,
+    offset), and once realised its frame becomes (key, parts), one part
+    per child, with the parts not in the memo yet pushed above it; it is
+    joined once they are built.  A chunk found in the memo costs its key
+    and one lookup, and allocates no frame.  `occurrence` descends its
+    chain of occurring children in a loop.  The walks are methods, not
+    closures, so an extraction leaves no reference cycle behind for the
+    cyclic garbage collector.  The walk order above is unchanged, and so
+    is every witness.
 
     `history` is the pattern's lane of a profile search, level by level:
     the list a one-lane search keeps, or a `_LaneHistory` projecting the
@@ -451,45 +486,79 @@ class _Extractor:
         self.history = history
         self.memo = memo
 
-    def _memoised(self, key, build, *args):
-        got = self.memo.get(key)
-        if got is None:
-            got = self.memo[key] = build(*args)
-        return got
+    def _piece(self, key, q):
+        """The memoised element for the chunk `key` (never empty), or (key,
+        q) if it is not built yet; q is the offset in the pattern where its
+        slice starts."""
+        return self.memo.get(key) or (key, q)
 
-    def _join(self, image, level, chunks):
-        """The level-`level` element made of the children of `image`:
-        chunks[k] for child k where given, else the child's first-image
-        spelling."""
-        return "".join([
-            chunks[k] if k in chunks else spell_first(self.sub, c, level - 1,
-                                                      self.memo)
-            for k, c in enumerate(image)
-        ])
+    def _spelled(self, image, level, parts):
+        """`parts`, one per child of `image` at level - 1, with each None
+        replaced by the child's first-image spelling."""
+        for k, part in enumerate(parts):
+            if part is None:
+                parts[k] = spell_first(self.sub, image[k], level - 1,
+                                       self.memo)
+        return parts
 
-    def exact(self, i, j, letter, level):
-        """Element of (letter, level) equal to pattern[i:j]."""
-        return self._memoised(("exact", self.pattern[i:j], letter, level),
-                              self._expand, i, j, letter, level, False)
+    def _build(self, pieces):
+        """Put every (key, offset) chunk of the list `pieces` into the memo,
+        with the chunks one level down that each rests on.  The list is the
+        stack of pending frames (see the class docstring), and is emptied."""
+        memo = self.memo
+        stack = pieces
+        while stack:
+            key, arg = stack[-1]
+            if type(arg) is int:
+                if key in memo:     # built meanwhile below another parent
+                    stack.pop()
+                    continue
+                if not key[3]:
+                    assert len(key[1]) == 1 and _matches(key[1], key[2])
+                    memo[key] = key[2]
+                    stack.pop()
+                    continue
+                parts = self._realise(key, arg)
+                pending = [part for part in parts if type(part) is tuple]
+                if pending:
+                    stack[-1] = key, parts
+                    stack += pending
+                    continue
+            else:
+                parts = [memo[part[0]] if type(part) is tuple else part
+                         for part in arg]
+            memo[key] = "".join(parts)
+            stack.pop()
 
-    def head(self, p, letter, level):
-        """Element of (letter, level) starting with pattern[p:]."""
-        return self._memoised(("head", self.pattern[p:], letter, level),
-                              self._expand, p, self.size, letter, level, True)
-
-    def _expand(self, i, j, letter, level, heads):
-        if level == 0:
-            assert j == i + 1 and _matches(self.pattern, letter, i)
-            return letter
+    def _realise(self, key, i):
+        """The parts of the first realisation of the chunk `key`, whose
+        slice starts at offset i of the pattern, one per child: the child's
+        element if it is known (a memoised chunk or the first-image
+        spelling), else the (key, offset) chunk it spells."""
+        mode, text, letter, level = key
+        j = i + len(text)
         prev = self.history[level - 1]
+        if mode == "tail":
+            for image in self.sub.rule[letter]:
+                steps = [{0: None}]
+                for c in image:
+                    steps.append(_advance(steps[-1], prev[c], j))
+                if j in steps[-1]:
+                    parts = [None] * len(image)
+                    self._back(image, steps, len(image), j, level, parts)
+                    return self._spelled(image, level, parts)
+            raise AssertionError("no realisation for recorded suffix-prefix")
+        pattern = self.pattern
         for image in self.sub.rule[letter]:
-            plan = self._plan(image, i, j, prev, heads)
+            plan = self._plan(image, i, j, prev, mode == "head")
             if plan is not None:
-                return self._join(image, level, {
-                    k: self.head(q, image[k], level - 1) if end is None
-                    else self.exact(q, end, image[k], level - 1)
-                    for k, (q, end) in enumerate(plan)
-                })
+                parts = [None] * len(image)
+                for k, (q, end) in enumerate(plan):
+                    parts[k] = self._piece(
+                        ("head", pattern[q:], image[k], level - 1)
+                        if end is None else
+                        ("exact", pattern[q:end], image[k], level - 1), q)
+                return self._spelled(image, level, parts)
         raise AssertionError("no realisation for recorded span or prefix")
 
     def _plan(self, image, i, j, prev, heads):
@@ -498,104 +567,119 @@ class _Extractor:
         the children together pattern[i:j].  Without `heads` every child
         takes part; with it the plan may stop at j, or at a child with an
         element starting with pattern[q:] (end None).  None if none fits."""
-        dead = set()
-        upto = (2 << j) - 1         # element ends past j never come back
+        # element ends past j never come back
+        return self._walk(image, 0, i, j, prev, heads, set(), (2 << j) - 1)
 
-        def walk(idx, q):
-            if q == j and (heads or idx == len(image)):
-                return []
-            if idx == len(image) or (idx, q) in dead:
-                return None
-            _, _, ps_c, spans_c = prev[image[idx]]
-            if heads and ps_c >> q & 1:
-                return [(q, None)]
-            m = _ends(spans_c, q) & upto
-            while m:
-                low = m & -m
-                m ^= low
-                end = low.bit_length() - 1
-                rest = walk(idx + 1, end)
-                if rest is not None:
-                    return [(q, end), *rest]
-            dead.add((idx, q))
+    def _walk(self, image, idx, q, j, prev, heads, dead, upto):
+        """`_plan` from child idx at progress q; `dead` holds the (child,
+        progress) pairs from which no plan fits."""
+        if q == j and (heads or idx == len(image)):
+            return []
+        if idx == len(image) or (idx, q) in dead:
             return None
+        _, _, ps_c, spans_c = prev[image[idx]]
+        if heads and ps_c >> q & 1:
+            return [(q, None)]
+        m = _ends(spans_c, q) & upto
+        while m:
+            low = m & -m
+            m ^= low
+            end = low.bit_length() - 1
+            rest = self._walk(image, idx + 1, end, j, prev, heads, dead, upto)
+            if rest is not None:
+                return [(q, end), *rest]
+        dead.add((idx, q))
+        return None
 
-        return walk(0, i)
-
-    def tail(self, t, letter, level):
-        """Element of (letter, level) whose last t characters match pattern[:t]."""
-        return self._memoised(("tail", self.pattern[:t], letter, level),
-                              self._tail, t, letter, level)
-
-    def _tail(self, t, letter, level):
-        if level == 0:
-            assert t == 1 and _matches(self.pattern, letter, 0)
-            return letter
-        prev = self.history[level - 1]
-        for image in self.sub.rule[letter]:
-            steps = [{0: None}]
-            for c in image:
-                steps.append(_advance(steps[-1], prev[c], t))
-            if t in steps[-1]:
-                chunks = {}
-                self._back(image, steps, len(image), t, level, chunks)
-                return self._join(image, level, chunks)
-        raise AssertionError("no realisation for recorded suffix-prefix")
-
-    def _back(self, image, steps, idx, q, level, chunks):
+    def _back(self, image, steps, idx, q, level, parts):
         """Backtrack the progress chain that reaches q before child idx,
-        putting the chunk of each child it passes into `chunks`; return the
-        child and the offset in it where the match begins."""
+        putting the chunk of each child it passes into `parts`; return the
+        child where the match begins and the progress it restarts with
+        there (0 if it begins at the child's start)."""
+        pattern = self.pattern
         while q:
             idx -= 1
             p = steps[idx + 1][q]
             if p is None:       # a restart: the match begins in this child
-                chunks[idx] = chunk = self.tail(q, image[idx], level - 1)
-                return idx, len(chunk) - q
-            chunks[idx] = self.exact(p, q, image[idx], level - 1)
+                parts[idx] = self._piece(
+                    ("tail", pattern[:q], image[idx], level - 1), 0)
+                return idx, q
+            parts[idx] = self._piece(
+                ("exact", pattern[p:q], image[idx], level - 1), p)
             q = p
         return idx, 0
 
     def occurrence(self, letter, level):
-        """(element, start) with the pattern matching inside the element."""
-        if level == 0:
+        """(element, start) with the pattern matching inside the element.
+
+        The loop descends the chain of children whose `occurs` bit holds,
+        down to the level where the match straddles children or is the
+        letter itself, and the elements are then spelled back up."""
+        path = []           # (image, child, level) of each level descended
+        while level:
+            image, idx, found = self._locate(letter, level)
+            if found is not None:
+                element, start = found
+                break
+            path.append((image, idx, level))
+            letter, level = image[idx], level - 1
+        else:
             assert self.size == 1 and _matches(self.pattern, letter, 0)
-            return letter, 0
+            element, start = letter, 0
+        for image, idx, level in reversed(path):
+            parts = [None] * len(image)
+            parts[idx] = element
+            parts = self._spelled(image, level, parts)
+            start += sum(map(len, parts[:idx]))
+            element = "".join(parts)
+        return element, start
+
+    def _locate(self, letter, level):
+        """(image, child, None) for the first image of `letter` with a child
+        whose `occurs` bit holds, or (image, None, (element, start)) for the
+        first whose children a match straddles, whichever comes first in
+        rule order."""
         prev = self.history[level - 1]
         for image in self.sub.rule[letter]:
             for idx, c in enumerate(image):
                 if prev[c][0]:
-                    inner, offset = self.occurrence(c, level - 1)
-                    chunks = {idx: inner}
-                    break
-            else:
-                hit = self._straddle(image, prev, level)
-                if hit is None:
-                    continue
-                chunks, idx, offset = hit
-            return (self._join(image, level, chunks),
-                    len(self._join(image[:idx], level, {})) + offset)
+                    return image, idx, None
+            found = self._straddle(image, prev, level)
+            if found is not None:
+                return image, None, found
         raise AssertionError("no realisation for recorded occurrence")
 
     def _straddle(self, image, prev, level):
-        """(chunks, child, offset) of the first match completing inside a
-        child, scanning children left to right: by a prefix of the child
-        (progress q in its ps), else by the child spanning the rest of the
-        pattern exactly; None if no match straddles the children."""
-        size = self.size
+        """(element, start) of the first match completing inside a child,
+        scanning children left to right: by a prefix of the child (progress
+        q in its ps), else by the child spanning the rest of the pattern
+        exactly; None if no match straddles the children."""
+        pattern, size, memo = self.pattern, self.size, self.memo
         steps = [{0: None}]
         for idx, c in enumerate(image):
             _, _, ps_c, spans_c = prev[c]
+            key = None
             for q in steps[idx]:
                 if q < size and ps_c >> q & 1:
-                    chunks = {idx: self.head(q, c, level - 1)}
-                    return chunks, *self._back(image, steps, idx, q, level,
-                                               chunks)
-            for q in steps[idx]:
-                if _ends(spans_c, q) >> size & 1:
-                    chunks = {idx: self.exact(q, size, c, level - 1)}
-                    return chunks, *self._back(image, steps, idx, q, level,
-                                               chunks)
+                    key = ("head", pattern[q:], c, level - 1)
+                    break
+            else:
+                for q in steps[idx]:
+                    if _ends(spans_c, q) >> size & 1:
+                        key = ("exact", pattern[q:], c, level - 1)
+                        break
+            if key is not None:
+                parts = [None] * len(image)
+                parts[idx] = self._piece(key, q)
+                begin, restart = self._back(image, steps, idx, q, level, parts)
+                parts = self._spelled(image, level, parts)
+                self._build([part for part in parts if type(part) is tuple])
+                parts = [memo[part[0]] if type(part) is tuple else part
+                         for part in parts]
+                start = sum(map(len, parts[:begin]))
+                if restart:
+                    start += len(parts[begin]) - restart
+                return "".join(parts), start
             # progress past child idx is needed only if nothing completed
             steps.append(_advance(steps[idx], prev[c], size))
         return None

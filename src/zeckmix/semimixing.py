@@ -524,19 +524,22 @@ def witness_for_length(cert: Certificate, n: int) -> tuple[str, str]:
 def _is_inflation_chain(sub, steps, base_alternatives, links=None) -> bool:
     """The steps start at the level-2 base element of their leading digit and
     each later element realises the image of the one before, one level up.
-    `links` memoises each link's verdict by the two steps it reads."""
+    `links` memoises each link's verdict by the digit prefix it ends, with
+    the two step objects it read; it is reused only for those objects."""
     base = steps[0]
     if base.level != 2 or base_alternatives.get(base.digit) != base.element:
         return False
     if links is None:
         links = {}
-    for link in zip(steps, steps[1:]):
-        ok = links.get(link)
-        if ok is None:
-            prev, cur = link
-            ok = links[link] = (cur.level == prev.level + 1
-                                and in_image(sub, prev.element, cur.element))
-        if not ok:
+    running = (base.digit,)
+    for prev, cur in zip(steps, steps[1:]):
+        running += (cur.digit,)
+        got = links.get(running)
+        if got is None or got[0] is not prev or got[1] is not cur:
+            got = links[running] = prev, cur, (
+                cur.level == prev.level + 1
+                and in_image(sub, prev.element, cur.element))
+        if not got[2]:
             return False
     return True
 
@@ -571,11 +574,13 @@ def verify_certificate(cert: Certificate, ns, deep: bool = True) -> Verification
     base-table row of the leading digit, and each later step is built from
     the step before it, the certificate's tables and its own digit, never
     from n.  So the derivations share one memo from digit prefix to step,
-    and each check's verdict is memoised by the step values it reads (the
-    step, the one before it, the digits consumed), never by identity: a
-    step that differs from the memoised one in any field is checked anew.
-    The checks of each n still run in order, and the outcome is that of
-    checking each n alone.
+    and each check's verdict is memoised by the digit prefix it ends, kept
+    with the step objects it read (the step, and for a link the one before
+    it).  A verdict is reused only for those very objects, so a step that
+    is not the memoised object is checked anew.  The memo holds the objects
+    it compares against, so none of them can be freed and its identity
+    taken by another.  The checks of each n still run in order, and the
+    outcome is that of checking each n alone.
     """
     sub = cert.family.substitution()
     scheme = cert.family.scheme()
@@ -619,8 +624,8 @@ def verify_certificate(cert: Certificate, ns, deep: bool = True) -> Verification
         if r[digit:digit + cert.seed_length] not in seeds:
             return fail(-1, f"step ({s!r}, {digit}) yields a non-seed follower")
 
-    # per-call memos: derived steps by digit prefix, and each check's
-    # verdict by the step values it reads
+    # per-call memos, each by digit prefix: derived steps, and each check's
+    # verdict with the step objects it read
     derived, bookkeeping, links = {}, {}, {}
 
     def step_fault(step, running):
@@ -646,12 +651,11 @@ def verify_certificate(cert: Certificate, ns, deep: bool = True) -> Verification
         running = ()
         for step in steps:
             running += (step.digit,)
-            key = (step, running)
-            fault = bookkeeping.get(key)
-            if fault is None:
-                fault = bookkeeping[key] = step_fault(step, running)
-            if fault:
-                return None, fault
+            got = bookkeeping.get(running)
+            if got is None or got[0] is not step:
+                got = bookkeeping[running] = step, step_fault(step, running)
+            if got[1]:
+                return None, got[1]
         if running != digits:
             return None, "derivation consumed the wrong digit string"
         if deep and not _is_inflation_chain(sub, steps, base_alternatives, links):

@@ -276,6 +276,45 @@ def test_dag_spelling_at_deep_levels():
     assert result.stdout.splitlines() == ["a b"]
 
 
+def test_extraction_at_deep_levels(tmp_path):
+    # witness extraction keeps the chunks it still has to build on a list
+    # and descends occurring children in a loop, so b^n, which first occurs
+    # at level n of a, gets its witness under the default recursion limit,
+    # and so does b at level 1000, a chain of 1000 occurring children
+    code = "\n".join([
+        "import sys",
+        "from zeckmix.language import is_legal, pattern_witness",
+        "from zeckmix.substitution import make_substitution",
+        "mixed = make_substitution({'a': ('a', 'ab'), 'b': ('b',)})",
+        "verdict = is_legal(mixed, 'b' * 1000)",
+        "hit = pattern_witness(mixed, 'b' * 150 + '?' * 150)",
+        "print(sys.getrecursionlimit(), verdict.legal, verdict.witness[0])",
+        "print(hit[0] == 'b' * 300)",
+        "print(pattern_witness(mixed, 'b', min_level=1000))",
+    ])
+    result = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0 and "Traceback" not in result.stderr, result.stderr
+    assert result.stdout.splitlines() == [
+        "1000 True 1000", "True", "('b', 1000, 'a', 'ab', 1)"]
+    rules = tmp_path / "rules.txt"
+    rules.write_text("a -> {a, ab}\nb -> {b}\n", encoding="utf-8")
+
+    def legal(n):
+        return subprocess.run(
+            [sys.executable, "-m", "zeckmix.cli", "lang", "legal", "--rules",
+             str(rules), "b" * n], env=src_env(), capture_output=True,
+            text=True, timeout=120)
+
+    result = legal(300)
+    assert result.returncode == 0, result.stderr
+    assert "legal: true" in result.stdout.splitlines()
+    # b^5000 needs level 4,999, past the profile search's level cap
+    result = legal(5000)
+    assert result.returncode == 2 and "Traceback" not in result.stderr
+    assert "reason: guard-exceeded" in result.stderr
+
+
 @pytest.mark.parametrize("flags", [["--k", "30"], ["--k", "1"]])
 def test_family_parameter_range_is_checked_once(flags):
     # every command that builds a family rejects the same parameters

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import random
@@ -697,3 +698,33 @@ def test_witness_choice_pinned_on_mixed_length_rules():
     assert list(got) == list(PINNED_ANSWER_DIGESTS)
     for label, digest in got.items():
         assert digest == PINNED_ANSWER_DIGESTS[label], label
+
+
+def _extraction_calls():
+    fib = random_fibonacci()
+    custom = make_substitution(
+        {"a": ("ab", "ba"), "b": ("ac", "ca"), "c": ("a", "aa")})
+    return {
+        "check_empirical fibonacci": lambda: check_empirical(
+            fib, make_seed_set(fib, ("ab", "ba")), "a", 20),
+        "check_empirical custom": lambda: check_empirical(
+            custom, make_seed_set(custom, ("ab", "ba")), "ab", 12),
+        "is_legal": lambda: is_legal(fib, "abaab"),
+        "pattern_witness": lambda: pattern_witness(fib, "a??b"),
+    }
+
+
+@pytest.mark.parametrize("name", list(_extraction_calls()))
+def test_extraction_leaves_no_cyclic_garbage(name):
+    # extraction keeps its pending work on a list and walks with methods,
+    # not self-referencing closures, so a call leaves nothing that only the
+    # cyclic collector can free; its pauses would land on later calls
+    call = _extraction_calls()[name]
+    gc.collect()
+    gc.disable()
+    try:
+        assert call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
