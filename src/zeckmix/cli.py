@@ -12,13 +12,15 @@ import argparse
 import sys
 
 from .errors import (
+    DEFAULT_SET_GUARD,
+    HORIZON_GUARD,
     GuardExceededError,
     IllegalWordError,
     NonPrimitiveMatrixError,
     UnsupportedFamilyError,
     ZeckmixError,
 )
-from .language import is_legal, language_of_length
+from .families import _FAMILIES, Family
 from .numeration import (
     LinearRecurrence,
     decode,
@@ -28,28 +30,11 @@ from .numeration import (
     is_valid,
     term,
 )
-from .semimixing import (
-    _FAMILIES,
-    HORIZON_GUARD,
-    Family,
-    certificate_report,
-    certify,
-    check_empirical,
-    make_seed_set,
-    parse_certificate,
-    seed_sets,
-    verify_certificate,
-)
-from .substitution import (
-    DEFAULT_SET_GUARD,
-    apply,
-    format_rules,
-    inflation_words,
-    is_pisot,
-    parse_rules,
-    pf_eigenvalue,
-    substitution_matrix,
-)
+
+# Each handler imports the layers beyond numeration that it runs, so a
+# command compiles and executes only those: `zeck` and `seq` never load
+# `substitution`, `lang` is the first to load `language`, and only
+# `semimix` loads `semimixing`.
 
 HEADER = "# zeckmix report v1"
 
@@ -76,6 +61,8 @@ def _scheme_from_args(args):
 
 
 def _substitution_from_args(args):
+    from .substitution import parse_rules
+
     if getattr(args, "rules", None):
         with open(args.rules, encoding="utf-8") as fh:
             return parse_rules(fh.read())
@@ -154,12 +141,16 @@ def _cmd_seq_complete(args) -> int:
 
 
 def _cmd_subst_show(args) -> int:
+    from .substitution import format_rules
+
     sub = _substitution_from_args(args)
     _emit(format_rules(sub).splitlines())
     return 0
 
 
 def _cmd_subst_apply(args) -> int:
+    from .substitution import apply
+
     sub = _substitution_from_args(args)
     words = sorted(apply(sub, args.word, guard=args.guard))
     _emit([f"word: {args.word}", f"count: {len(words)}"] + words)
@@ -167,6 +158,8 @@ def _cmd_subst_apply(args) -> int:
 
 
 def _cmd_subst_inflate(args) -> int:
+    from .substitution import inflation_words
+
     sub = _substitution_from_args(args)
     words = sorted(inflation_words(sub, args.letter, args.level, guard=args.guard))
     _emit([
@@ -178,6 +171,8 @@ def _cmd_subst_inflate(args) -> int:
 
 
 def _cmd_subst_matrix(args) -> int:
+    from .substitution import substitution_matrix
+
     sub = _substitution_from_args(args)
     matrix = substitution_matrix(sub)
     _emit([f"alphabet: {' '.join(sub.alphabet)}"]
@@ -186,6 +181,8 @@ def _cmd_subst_matrix(args) -> int:
 
 
 def _cmd_subst_pisot(args) -> int:
+    from .substitution import is_pisot, pf_eigenvalue, substitution_matrix
+
     sub = _substitution_from_args(args)
     matrix = substitution_matrix(sub)
     _emit([
@@ -197,6 +194,8 @@ def _cmd_subst_pisot(args) -> int:
 
 
 def _cmd_lang_legal(args) -> int:
+    from .language import is_legal
+
     sub = _substitution_from_args(args)
     verdict = is_legal(sub, args.word)
     lines = [
@@ -213,6 +212,8 @@ def _cmd_lang_legal(args) -> int:
 
 
 def _cmd_lang_enum(args) -> int:
+    from .language import language_of_length
+
     sub = _substitution_from_args(args)
     words = language_of_length(sub, args.n, guard=args.guard)
     _emit([f"n: {args.n}", f"count: {len(words)}"] + list(words))
@@ -220,6 +221,8 @@ def _cmd_lang_enum(args) -> int:
 
 
 def _cmd_semimix_check(args) -> int:
+    from .semimixing import check_empirical, make_seed_set, seed_sets
+
     sub = _substitution_from_args(args)
     family = _family_from_args(args) if args.family else None
     if args.seeds:
@@ -235,6 +238,8 @@ def _cmd_semimix_check(args) -> int:
 
 
 def _cmd_semimix_certify(args) -> int:
+    from .semimixing import certificate_report, certify, verify_certificate
+
     family = _family_from_args(args)
     sub = family.substitution()
     cert = certify(sub, family, args.word)
@@ -256,6 +261,8 @@ def _cmd_semimix_certify(args) -> int:
 
 
 def _cmd_semimix_verify(args) -> int:
+    from .semimixing import parse_certificate, verify_certificate
+
     with open(args.cert, encoding="utf-8") as fh:
         cert = parse_certificate(fh.read())
     outcome = verify_certificate(

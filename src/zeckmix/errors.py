@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the default work guards
+past which an operation raises GuardExceededError (kept here so that the
+CLI's option defaults need no other layer)."""
+
+# largest word set an enumerating operation may build (substitution, language)
+DEFAULT_SET_GUARD = 10**6
+# largest horizon `check_empirical` searches (semimixing)
+HORIZON_GUARD = 200
 
 
 class ZeckmixError(Exception):

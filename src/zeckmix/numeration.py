@@ -138,7 +138,7 @@ class NumerationScheme:
         return window < self.recurrence.coefficients
 
     def descriptor(self) -> str:
-        from .semimixing import _label  # its family table names the parameters
+        from .families import _label  # its family table names the parameters
 
         return f"family={_label(self.family, self.params)} base_index={self.base_index}"
 

@@ -38,14 +38,15 @@ that is 61 steps instead of 416.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 from .errors import (
+    HORIZON_GUARD,
     GuardExceededError,
     IllegalWordError,
     UnsupportedFamilyError,
 )
+from .families import _FAMILIES, Family, _spec
 from .language import (
     LegalityVerdict,
     _shared_extraction,
@@ -53,171 +54,10 @@ from .language import (
     language_of_length,
     pattern_witness,
 )
-from .numeration import (
-    DigitString,
-    NumerationScheme,
-    decode,
-    encode_greedy,
-    fibonacci_scheme,
-    kbonacci_scheme,
-    metallic_pisa_scheme,
-    metallic_scheme,
-    tribonacci_scheme,
-)
-from .substitution import (
-    RandomSubstitution,
-    build_dag,
-    in_image,
-    metallic_pisa,
-    random_fibonacci,
-    random_kbonacci,
-    random_metallic,
-    random_tribonacci,
-)
+from .numeration import DigitString, decode, encode_greedy
+from .substitution import RandomSubstitution, build_dag, in_image
 
-HORIZON_GUARD = 200
 _WITNESS_LENGTH_GUARD = 10**6
-
-
-def _fibonacci_tables():
-    imgs = {"a": "ab", "b": "a"}
-    base = {1: ("a", "ab", "aab")}
-    step = {(s, d): "aba" for s in ("ab", "ba") for d in (0, 1)}
-    return imgs, base, step
-
-
-def _tribonacci_tables():
-    imgs = {"a": "ab", "b": "ac", "c": "a"}
-    base = {1: ("a", "ba", "abac")}
-    chosen = {"ab": "abac", "ba": "acab", "ac": "aba", "ca": "aba"}
-    step = {(s, d): chosen[s] for s in chosen for d in (0, 1)}
-    return imgs, base, step
-
-
-def _metallic_tables(m: int):
-    imgs = {"a": "a" * m + "b", "b": "a"}
-    filler = ("a" * m + "b")
-    base = {}
-    for j in range(1, m + 1):
-        e0 = ("a" * j + "b" + "a" * (m - j)) + filler * (m - 1) + "a"
-        base[j] = ("a" * j, "b" + "a" * m, e0)
-    step = {}
-    for i in range(m + 1):
-        s = "a" * i + "b" + "a" * (m - i)
-        for j in range(m + 1):
-            if i >= 1:
-                r = ("a" * j + "b" + "a" * (m - j)) + filler * (i - 1) \
-                    + "a" + filler * (m - i)
-            elif j >= 1:
-                r = "a" + ("a" * (j - 1) + "b" + "a" * (m - j + 1)) \
-                    + filler * (m - 1)
-            else:
-                r = "a" + ("b" + "a" * m) + filler * (m - 1)
-            step[(s, j)] = r
-    return imgs, base, step
-
-
-def _kbonacci_seeds(letters: str, k: int) -> tuple[str, ...]:
-    return tuple(sorted({"a" + x for x in letters} | {x + "a" for x in letters}))
-
-
-def _metallic_seeds(letters: str, m: int) -> tuple[str, ...]:
-    return tuple("a" * i + "b" + "a" * (m - i) for i in range(m + 1))
-
-
-def _metallic_pisa_seeds(letters: str, k: int, m: int) -> tuple[str, ...]:
-    return tuple(sorted({
-        "a" * i + x + "a" * (m - i) for i in range(m + 1) for x in letters[1:]
-    }))
-
-
-@dataclass(frozen=True)
-class _FamilySpec:
-    """A built-in family, an instance of metallic-Pisa(k, m).  `params`
-    maps each parameter, in the order builders take them (`seeds` takes the
-    alphabet first), to its least and greatest value (None: unbounded);
-    `tables` exists for the families `certify` covers, and `alias` names the
-    covered family certified in place of this one."""
-
-    params: dict[str, tuple[int, int | None]]
-    substitution: Callable[..., RandomSubstitution]
-    scheme: Callable[..., NumerationScheme]
-    seeds: Callable[..., tuple[str, ...]]
-    tables: Callable[..., tuple] | None = None
-    alias: Callable[..., Family | None] = lambda *params: None
-
-
-# parameter ranges: a metallic-Pisa(k, m) rule spells its k letters a..z
-_K = (2, 26)
-_M = (1, None)
-
-# Builders are looked up when called, so wrappers installed on this module's
-# globals (zbench's tracer, test monkeypatches) see every call.
-_FAMILIES = {
-    "fibonacci": _FamilySpec(
-        {}, lambda: random_fibonacci(), lambda: fibonacci_scheme(),
-        lambda letters: ("ab", "ba"), _fibonacci_tables),
-    "tribonacci": _FamilySpec(
-        {}, lambda: random_tribonacci(), lambda: tribonacci_scheme(),
-        lambda letters: ("ab", "ba", "ac", "ca"), _tribonacci_tables),
-    "kbonacci": _FamilySpec(
-        {"k": _K}, lambda k: random_kbonacci(k), lambda k: kbonacci_scheme(k),
-        _kbonacci_seeds,
-        alias=lambda k: {2: Family("fibonacci"), 3: Family("tribonacci")}.get(k)),
-    "metallic": _FamilySpec(
-        {"m": _M}, lambda m: random_metallic(m), lambda m: metallic_scheme(m),
-        _metallic_seeds, _metallic_tables),
-    "metallic-pisa": _FamilySpec(
-        {"k": _K, "m": _M}, lambda k, m: metallic_pisa(k, m),
-        lambda k, m: metallic_pisa_scheme(k, m), _metallic_pisa_seeds,
-        alias=lambda k, m: Family("metallic", (m,)) if k == 2 else None),
-}
-
-
-def _spec(name: str) -> _FamilySpec:
-    if name not in _FAMILIES:
-        raise UnsupportedFamilyError(f"unknown family {name!r}")
-    return _FAMILIES[name]
-
-
-def _label(name: str, params: tuple[int, ...]) -> str:
-    """`name`, then `key=value` for each parameter of a built-in family."""
-    names = _FAMILIES[name].params if name in _FAMILIES else ()
-    return " ".join([name] + [f"{n}={v}" for n, v in zip(names, params)])
-
-
-@dataclass(frozen=True)
-class Family:
-    """A built-in family tag: fibonacci, tribonacci, kbonacci(k),
-    metallic(m) or metallic-pisa(k, m)."""
-
-    name: str
-    params: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        ranges = _spec(self.name).params
-        if len(self.params) != len(ranges):
-            raise UnsupportedFamilyError(
-                f"family {self.name!r} takes {len(ranges)} parameter(s)"
-            )
-        for (key, (least, most)), value in zip(ranges.items(), self.params):
-            if value < least or most is not None and value > most:
-                bound = (f"{key} >= {least}" if most is None
-                         else f"{least} <= {key} <= {most}")
-                raise ValueError(f"family {self.name!r} needs {bound}")
-
-    def substitution(self) -> RandomSubstitution:
-        return _FAMILIES[self.name].substitution(*self.params)
-
-    def scheme(self) -> NumerationScheme:
-        return _FAMILIES[self.name].scheme(*self.params)
-
-    def seed_words(self) -> tuple[str, ...]:
-        letters = "".join(self.substitution().alphabet)
-        return _FAMILIES[self.name].seeds(letters, *self.params)
-
-    def label(self) -> str:
-        return _label(self.name, self.params)
 
 
 def _key_values(field: str, parts, keys: tuple[str, ...]) -> dict[str, str]:

@@ -88,13 +88,79 @@ def src_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
 
 
-def test_cli_import_loads_no_numpy():
-    result = subprocess.run(
-        [sys.executable, "-c",
-         "import zeckmix.cli, sys; assert 'numpy' not in sys.modules"],
-        env=src_env(), capture_output=True, text=True, timeout=60,
-    )
+def run_fresh(code):
+    """Run `code` in a fresh interpreter on this checkout; its stdout."""
+    result = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                            capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+# each command group loads the modules its layers need and no more
+_CORE = ("cli", "errors", "families", "numeration")
+FOOTPRINTS = [
+    (["zeck", "encode", "--family", "fibonacci", "100"], _CORE),
+    (["seq", "term", "--family", "metallic", "--m", "3", "6"], _CORE),
+    (["subst", "show", "--family", "tribonacci"], (*_CORE, "substitution")),
+    (["subst", "show", "--rules", "{rules}"], (*_CORE, "substitution")),
+    (["lang", "legal", "--family", "fibonacci", "bb"],
+     (*_CORE, "language", "substitution")),
+]
+
+
+@pytest.mark.parametrize("argv, layers", FOOTPRINTS, ids=[
+    "zeck-encode", "seq-term", "subst-show-family", "subst-show-rules",
+    "lang-legal"])
+def test_cli_command_loads_only_its_layers(tmp_path, argv, layers):
+    rules = tmp_path / "rules.txt"
+    rules.write_text("a -> {ab, ba}\nb -> {a}\n", encoding="utf-8")
+    argv = [part.replace("{rules}", str(rules)) for part in argv]
+    out = run_fresh(
+        "import sys\n"
+        "from zeckmix.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "assert 'numpy' not in sys.modules\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('zeckmix.')))\n"
+    )
+    assert out.splitlines()[-1].split() == [f"zeckmix.{m}" for m in sorted(layers)]
+
+
+def test_package_names_load_on_first_access():
+    # `import zeckmix` loads no layer; eight threads resolving every public
+    # name at once all get the object its defining module holds
+    out = run_fresh(
+        "import sys, threading\n"
+        "import zeckmix\n"
+        "assert not [m for m in sys.modules if m.startswith('zeckmix.')]\n"
+        "barrier, got = threading.Barrier(8), []\n"
+        "def resolve():\n"
+        "    barrier.wait()\n"
+        "    got.append([getattr(zeckmix, n) for n in zeckmix.__all__])\n"
+        "threads = [threading.Thread(target=resolve) for _ in range(8)]\n"
+        "for t in threads: t.start()\n"
+        "for t in threads: t.join()\n"
+        "assert len(got) == 8\n"
+        "assert all(a is b for values in got for a, b in zip(values, got[0]))\n"
+        "for name, value in zip(zeckmix.__all__, got[0]):\n"
+        "    assert getattr(sys.modules[value.__module__], name) is value, name\n"
+        "try:\n"
+        "    zeckmix.no_such_name\n"
+        "except AttributeError:\n"
+        "    print('ok', len(zeckmix.__all__))\n"
+    )
+    assert out == "ok 52\n"
+
+
+def test_package_getattr_hook():
+    import importlib
+
+    import zeckmix
+
+    for name in zeckmix.__all__:
+        value = zeckmix.__getattr__(name)
+        assert getattr(importlib.import_module(value.__module__), name) is value
+    with pytest.raises(AttributeError, match="no_such_name"):
+        zeckmix.__getattr__("no_such_name")
 
 
 def test_custom_rules_file(tmp_path):

@@ -703,12 +703,14 @@ def test_family_table_is_metallic_pisa(family, k, m):
 
 
 def test_no_family_name_dispatch_in_library():
-    # family facts live in semimixing's family table; comparing a value
+    # family facts live in the family registry's table; comparing a value
     # against a family name outside it would start a second dispatch chain
     import ast
     from pathlib import Path
 
-    names = set(semimixing._FAMILIES)
+    from zeckmix import families
+
+    names = set(families._FAMILIES)
     found = []
     for path in sorted(Path(semimixing.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

@@ -682,8 +682,11 @@ def test_in_image_trims_only_uniform_length_rules():
     sub = make_substitution({"a": ("a", "aa"), "b": ("ab",)})
     assert in_image(sub, "aa", "aaa") and in_image(sub, "aba", "aabaa")
     assert "first_images" not in vars(sub)
+    # a uniform-length rule trims from four letters on, and matches a
+    # shorter word letter by letter
     fib = random_fibonacci()
-    assert in_image(fib, "ab", "baa") and "first_images" in vars(fib)
+    assert in_image(fib, "aba", "baaab") and "first_images" not in vars(fib)
+    assert in_image(fib, "abaa", "baaabab") and "first_images" in vars(fib)
 
 
 def test_rules_text_round_trip():
