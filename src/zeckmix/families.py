@@ -14,16 +14,11 @@ substitution layer.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from . import numeration
 from .errors import UnsupportedFamilyError
-
-if TYPE_CHECKING:
-    from .numeration import NumerationScheme
-    from .substitution import RandomSubstitution
 
 
 def _fibonacci_tables():
@@ -78,21 +73,17 @@ def _metallic_pisa_seeds(letters: str, k: int, m: int) -> tuple[str, ...]:
     }))
 
 
-@dataclass(frozen=True)
-class _FamilySpec:
-    """A built-in family, an instance of metallic-Pisa(k, m).  `params`
-    maps each parameter, in the order builders take them (`substitution`
-    takes the substitution module first, `seeds` the alphabet), to its
-    least and greatest value (None: unbounded); `tables` exists for the
-    families `certify` covers, and `alias` names the covered family
-    certified in place of this one."""
-
-    params: dict[str, tuple[int, int | None]]
-    substitution: Callable[..., RandomSubstitution]
-    scheme: Callable[..., NumerationScheme]
-    seeds: Callable[..., tuple[str, ...]]
-    tables: Callable[..., tuple] | None = None
-    alias: Callable[..., Family | None] = lambda *params: None
+# A built-in family, an instance of metallic-Pisa(k, m).  `params` maps
+# each parameter, in the order builders take them (`substitution` takes the
+# substitution module first, `seeds` the alphabet), to its least and
+# greatest value (None: unbounded); `tables` exists for the families
+# `certify` covers, and `alias` names the covered family certified in place
+# of this one.  A named tuple rather than a frozen dataclass: every CLI
+# call creates this type, and the dataclass took 1.4 ms to create against
+# 0.12 ms (2-vCPU Xeon, CPython 3.11).
+_FamilySpec = namedtuple(
+    "_FamilySpec", "params substitution scheme seeds tables alias",
+    defaults=(None, lambda *params: None))
 
 
 # parameter ranges: a metallic-Pisa(k, m) rule spells its k letters a..z
@@ -156,12 +147,13 @@ class Family:
                          else f"{least} <= {key} <= {most}")
                 raise ValueError(f"family {self.name!r} needs {bound}")
 
-    def substitution(self) -> RandomSubstitution:
-        from . import substitution as layer  # loaded by the first family rule built
+    def substitution(self):
+        """The family's rule, a `RandomSubstitution`."""
+        from . import substitution as layer  # loaded by the first rule built
 
         return _FAMILIES[self.name].substitution(layer, *self.params)
 
-    def scheme(self) -> NumerationScheme:
+    def scheme(self) -> numeration.NumerationScheme:
         return _FAMILIES[self.name].scheme(*self.params)
 
     def seed_words(self) -> tuple[str, ...]:
