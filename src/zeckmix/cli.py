@@ -393,6 +393,7 @@ _REASONS = [
     (UnsupportedFamilyError, "unsupported-family"),
     (NonPrimitiveMatrixError, "non-primitive-matrix"),
     (OverflowError, "overflow"),
+    (MemoryError, "out-of-memory"),
     (ZeckmixError, "library-error"),
     (ValueError, "invalid-input"),
     (OSError, "io-error"),
@@ -407,7 +408,7 @@ def main(argv=None) -> int:
     except tuple(exc for exc, _ in _REASONS) as err:
         for exc_type, reason in _REASONS:
             if isinstance(err, exc_type):
-                print(f"error: {err}", file=sys.stderr)
+                print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
                 print(f"reason: {reason}", file=sys.stderr)
                 return 2
         raise

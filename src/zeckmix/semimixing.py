@@ -48,6 +48,7 @@ from .errors import (
 )
 from .families import _FAMILIES, Family, _spec
 from .language import (
+    _BATCH_CHARS,
     LegalityVerdict,
     _shared_extraction,
     is_legal,
@@ -141,12 +142,6 @@ class WitnessTable:
     entries: tuple[WitnessEntry | None, ...]
     threshold: int | None
 
-    def entry(self, n: int) -> WitnessEntry | None:
-        return self.entries[n]
-
-    def witnessed(self, n: int) -> bool:
-        return self.entries[n] is not None
-
     def to_report(self) -> str:
         lines = [
             "# zeckmix witness-table v1",
@@ -226,10 +221,7 @@ def check_empirical(sub: RandomSubstitution, seeds: SeedSet, w: str,
 
 @dataclass(frozen=True)
 class DerivationStep:
-    kind: str                  # "base" or "step"
     digit: int
-    seed_before: str | None    # step only
-    chosen: str                # e0 for base, R for steps
     word: str                  # z after the step
     seed: str                  # s after the step
     element: str               # e after the step
@@ -346,13 +338,13 @@ def _next_step(cert, prev, digit):
         if digit not in cert.base_table:
             raise ValueError(f"no base-case entry for leading digit {digit}")
         z, s, e = cert.base_table[digit]
-        return DerivationStep("base", digit, None, e, z, s, e, 2)
+        return DerivationStep(digit, z, s, e, 2)
     z, s, e = prev.word, prev.seed, prev.element
     r = cert.step_table[(s, digit)]
     zx = _expand(cert.letter_images, z)
     rho = e[len(z) + len(s):]
     return DerivationStep(
-        "step", digit, s, r, zx + r[:digit], r[digit:digit + cert.seed_length],
+        digit, zx + r[:digit], r[digit:digit + cert.seed_length],
         zx + r + _expand(cert.letter_images, rho), prev.level + 1)
 
 
@@ -361,27 +353,20 @@ def witness_for_length(cert: Certificate, n: int) -> tuple[str, str]:
     return u, s
 
 
-def _is_inflation_chain(sub, steps, base_alternatives, links=None) -> bool:
-    """The steps start at the level-2 base element of their leading digit and
-    each later element realises the image of the one before, one level up.
-    `links` memoises each link's verdict by the digit prefix it ends, with
-    the two step objects it read; it is reused only for those objects."""
-    base = steps[0]
-    if base.level != 2 or base_alternatives.get(base.digit) != base.element:
-        return False
-    if links is None:
-        links = {}
-    running = (base.digit,)
-    for prev, cur in zip(steps, steps[1:]):
-        running += (cur.digit,)
-        got = links.get(running)
-        if got is None or got[0] is not prev or got[1] is not cur:
-            got = links[running] = prev, cur, (
-                cur.level == prev.level + 1
-                and in_image(sub, prev.element, cur.element))
-        if not got[2]:
-            return False
-    return True
+def _links(sub, base_alternatives, prev, step) -> bool:
+    """Whether `step` continues an inflation chain of a: with no step before
+    it, it is the level-2 base element of its leading digit; otherwise its
+    element realises the image of prev's, one level up."""
+    if prev is None:
+        return step.level == 2 and base_alternatives.get(step.digit) == step.element
+    return step.level == prev.level + 1 and in_image(sub, prev.element, step.element)
+
+
+def _is_inflation_chain(sub, steps, base_alternatives) -> bool:
+    """The steps start at a base element and each later one links to the one
+    before (`_links`)."""
+    return all(_links(sub, base_alternatives, prev, step)
+               for prev, step in zip([None, *steps], steps))
 
 
 @dataclass(frozen=True)
@@ -399,28 +384,21 @@ def verify_certificate(cert: Certificate, ns, deep: bool = True) -> Verification
     independent of the construction; returns a counterexample on failure.
 
     With `deep`, each derivation's final element is also shown to be a
-    level-L inflation word of a, by a per-step image check rather than a
-    fresh DAG membership query: every step's element must lie in the image
-    of the previous step's element (`in_image`), one level higher, and the
-    chain must start at a base element, which the preamble checks against
-    the level-2 DAG.  Induction along the chain gives the claim: a word in
-    the image of a level-k word of a is a level-(k+1) word of a.  Every
-    certified family has images of one length per letter, so each check
-    spells the previous element by first images and matches letter by
-    letter only where the element departs from that spelling, which for
-    a step is the seed's image.
+    level-L inflation word of a by induction along its steps: the first is
+    a base element, which the preamble checks against the level-2 DAG, and
+    each later one lies in the image of the one before, one level up
+    (`_links`); a word in the image of a level-k word of a is a
+    level-(k+1) word of a.
 
-    A step is a function of its digit prefix alone: the base step is the
-    base-table row of the leading digit, and each later step is built from
-    the step before it, the certificate's tables and its own digit, never
-    from n.  So the derivations share one memo from digit prefix to step,
-    and each check's verdict is memoised by the digit prefix it ends, kept
-    with the step objects it read (the step, and for a link the one before
-    it).  A verdict is reused only for those very objects, so a step that
-    is not the memoised object is checked anew.  The memo holds the objects
-    it compares against, so none of them can be freed and its identity
-    taken by another.  The checks of each n still run in order, and the
-    outcome is that of checking each n alone.
+    A step is a function of its digit prefix alone, so the derivations
+    share one memo from digit prefix to step, and one from digit prefix to
+    the step's verdicts (bookkeeping fault, and when deep its link), kept
+    with the step and the step before it that they read.  A verdict is
+    reused only for those very objects, which the memo keeps alive.  The
+    contexts w u s are decided in batches of at most _BATCH_CHARS
+    characters (the split of `_Block.search`), each in a block of its own,
+    and the pending ones before a failing derivation or a guard error is
+    reported; so the outcome is that of checking each n alone, in order.
     """
     sub = cert.family.substitution()
     scheme = cert.family.scheme()
@@ -464,17 +442,9 @@ def verify_certificate(cert: Certificate, ns, deep: bool = True) -> Verification
         if r[digit:digit + cert.seed_length] not in seeds:
             return fail(-1, f"step ({s!r}, {digit}) yields a non-seed follower")
 
-    # per-call memos, each by digit prefix: derived steps, and each check's
-    # verdict with the step objects it read
-    derived, bookkeeping, links = {}, {}, {}
-
-    def step_fault(step, running):
-        """Why a step breaks the prefix invariant or the bookkeeping, or ''."""
-        if not step.element.startswith(step.word + step.seed):
-            return f"prefix invariant broken at level {step.level}"
-        if len(step.word) != decode(DigitString(running, scheme)):
-            return f"digit bookkeeping broken at level {step.level}"
-        return ""
+    # per-call memos by digit prefix: the derived steps, and each step's
+    # [step, step before it, bookkeeping fault, link verdict or None]
+    derived, verdicts = {}, {}
 
     def replay(n):
         """The context w u s whose legality finishes the check of n, or
@@ -488,46 +458,60 @@ def verify_certificate(cert: Certificate, ns, deep: bool = True) -> Verification
             return None, f"witness has length {len(u)}, expected {n}"
         if s not in seeds:
             return None, f"witness seed {s!r} is not in the seed set"
-        running = ()
+        prefix, prev, path = (), None, []
         for step in steps:
-            running += (step.digit,)
-            got = bookkeeping.get(running)
-            if got is None or got[0] is not step:
-                got = bookkeeping[running] = step, step_fault(step, running)
-            if got[1]:
-                return None, got[1]
-        if running != digits:
+            prefix += (step.digit,)
+            got = verdicts.get(prefix)
+            if got is None or got[0] is not step or got[1] is not prev:
+                fault = ""
+                if not step.element.startswith(step.word + step.seed):
+                    fault = f"prefix invariant broken at level {step.level}"
+                elif len(step.word) != decode(DigitString(prefix, scheme)):
+                    fault = f"digit bookkeeping broken at level {step.level}"
+                got = verdicts[prefix] = [step, prev, fault, None]
+            if got[2]:
+                return None, got[2]
+            path.append(got)
+            prev = step
+        if prefix != digits:
             return None, "derivation consumed the wrong digit string"
-        if deep and not _is_inflation_chain(sub, steps, base_alternatives, links):
-            return None, "final element is not an inflation word of a"
+        for got in path if deep else ():
+            if got[3] is None:
+                got[3] = _links(sub, base_alternatives, got[1], got[0])
+            if not got[3]:
+                return None, "final element is not an inflation word of a"
         return cert.source + u + s, None
 
-    # every derivation is checked first, up to the first that fails, and
-    # the contexts they leave are then decided together, in batches of
-    # bounded total length (`_Block.search`); the outcome is
-    # that of checking each n in turn, context included, since the contexts
-    # are read back in order and the first illegal one ends the replay
-    contexts = []
-    stop = None      # (n, reason), or the guard replaying n exceeded
+    batch, size = [], 0   # the (n, context) pairs not decided yet
+
+    def decide():
+        """Decide the batch in order, in a block of its own; (n, reason) for
+        its first illegal context, or None."""
+        nonlocal checked, size
+        with _shared_extraction(sub) as block:
+            block.search([context for _, context in batch])
+            for n, context in batch:
+                if not is_legal(sub, context, want_witness=False).legal:
+                    return n, f"context {context!r} is not legal"
+                checked += 1
+        batch.clear()
+        size = 0
+        return None
+
     for n in ns:
         try:
             context, reason = replay(n)
-        except GuardExceededError as exc:  # raised once the contexts before n pass
-            stop = exc
-            break
+        except GuardExceededError:    # reported once the contexts before n pass
+            if (stop := decide()) is None:
+                raise
+            return fail(*stop)
         if context is None:
-            stop = (n, reason)
-            break
-        contexts.append((n, context))
-    with _shared_extraction(sub) as block:
-        block.search([context for _, context in contexts])
-        for n, context in contexts:
-            if not is_legal(sub, context, want_witness=False).legal:
-                return fail(n, f"context {context!r} is not legal")
-            checked += 1
-    if isinstance(stop, GuardExceededError):
-        raise stop
-    if stop is not None:
+            return fail(*(decide() or (n, reason)))
+        if size + len(context) > _BATCH_CHARS and (stop := decide()):
+            return fail(*stop)
+        batch.append((n, context))
+        size += len(context)
+    if (stop := decide()) is not None:
         return fail(*stop)
     return VerificationOutcome(True, checked, None)
 

@@ -34,9 +34,6 @@ class RandomSubstitution:
     abelian_compatible: bool
     label: str = ""
 
-    def images(self, letter: str) -> tuple[str, ...]:
-        return self.rule[letter]
-
     @cached_property
     def first_images(self) -> dict[str, str]:
         """{letter: first image}, the morphism that `spell_first` iterates

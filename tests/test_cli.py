@@ -282,24 +282,66 @@ def test_semimix_verify_large_level(tmp_path, level):
             "word of a") in result.stdout
 
 
-def test_semimix_verify_long_span_in_bounded_memory(tmp_path):
-    # a span's contexts are searched in batches of bounded total length, so
-    # a level's bitsets do not widen with the span: span 2,000 needs between
-    # 50 and 55 MB of address space, and one batch of all 2,001 contexts
-    # between 77 and 80 MB
+def _fibonacci_certificate(tmp_path):
+    """The path of a written fibonacci certificate for `a`."""
     cert_path = tmp_path / "cert.txt"
     cert_path.write_text(certificate_report(
         certify(random_fibonacci(), Family("fibonacci"), "a")) + "\n",
         encoding="utf-8")
+    return cert_path
+
+
+def test_semimix_verify_long_span_in_bounded_memory(tmp_path):
+    # a span's contexts are decided in batches of bounded total length,
+    # each in a block of its own that is dropped once the batch is decided,
+    # so neither a level's bitsets nor the kept lanes grow with the span:
+    # span 2,000 needs between 26 and 28 MB of address space and span 4,000
+    # between 46 and 48 MB, where one block holding every batch's lanes
+    # needed between 50 and 56 MB at span 2,000 and over 64 MB at 3,000
+    cert_path = _fibonacci_certificate(tmp_path)
+    for span in (2000, 4000):
+        result = subprocess.run(
+            [sys.executable, "-m", "zeckmix.cli", "semimix", "verify",
+             "--cert", str(cert_path), "--span", str(span)],
+            env=src_env(), capture_output=True, text=True, timeout=120,
+            preexec_fn=_address_space_cap(64),
+        )
+        assert result.returncode == 0, result.stderr
+        assert "verified: true" in result.stdout
+        assert f"checked: {span + 1}" in result.stdout
+
+
+def test_out_of_memory_exits_2(tmp_path):
+    # running out of memory is resource trouble, not a counterexample: the
+    # replay of span 8,000 outgrows 40 MB of address space near span 3,400
     result = subprocess.run(
         [sys.executable, "-m", "zeckmix.cli", "semimix", "verify",
-         "--cert", str(cert_path), "--span", "2000"],
+         "--cert", str(_fibonacci_certificate(tmp_path)), "--span", "8000"],
         env=src_env(), capture_output=True, text=True, timeout=120,
-        preexec_fn=_address_space_cap(64),
+        preexec_fn=_address_space_cap(40),
     )
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stderr.splitlines()[-1] == "reason: out-of-memory"
+
+
+@pytest.mark.parametrize("script, argv, mark, rows, lines", [
+    ("certificate_demo.py", ["--span", "5", "--words", "2"],
+     "verified[6]=True", 3 * 2, 3 * 2),
+    ("semimixing_survey.py", ["--horizon", "6", "--max-len", "1"],
+     "unresolved=0", 6, 1 + 6),
+])
+def test_scripts_run(script, argv, mark, rows, lines):
+    # each script runs end to end in a fresh interpreter: one line per
+    # family and source word for the demo, a header and one line per
+    # family for the survey
+    path = Path(__file__).resolve().parents[1] / "scripts" / script
+    result = subprocess.run([sys.executable, str(path), *argv], env=src_env(),
+                            capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert "verified: true" in result.stdout
-    assert "checked: 2001" in result.stdout
+    out = result.stdout.splitlines()
+    assert len(out) == lines, result.stdout
+    assert sum(mark in line for line in out) == rows, result.stdout
 
 
 def test_dag_membership_at_deep_levels():

@@ -179,7 +179,7 @@ def test_check_empirical_shared_across_threads():
 
 
 def test_verify_certificate_reports_failures_in_order(monkeypatch):
-    # contexts are decided as one batch after the derivations, but the
+    # contexts are decided in batches after their derivations, but the
     # outcome is that of checking each n in turn: the first failing n wins,
     # whatever fails later or raises
     fib = random_fibonacci()
@@ -203,6 +203,32 @@ def test_verify_certificate_reports_failures_in_order(monkeypatch):
         verify_certificate(cert, [t, t + 4, t + 2], deep=False)
     assert verify_certificate(cert, [t + 3, t + 1], deep=False).checked == 2
     assert language._SHARED_MEMO.get() is None
+
+
+def test_verify_certificate_one_context_per_batch(monkeypatch):
+    # with a batch bound below every context's length, each context closes
+    # its own batch and is decided in a block of its own; the outcomes stay
+    # those of checking each n alone, so the contexts pending before a
+    # failing derivation are decided before it is reported
+    lanes = []
+    real = language._pattern_search
+
+    def counting(sub, patterns, *args):
+        lanes.append(len(patterns))
+        return real(sub, patterns, *args)
+
+    monkeypatch.setattr(semimixing, "_BATCH_CHARS", 1)
+    monkeypatch.setattr(language, "_pattern_search", counting)
+    for family in _REPLAY_FAMILIES[:3]:
+        for cert in _replay_certificates(family)[1][:2]:
+            t = cert.threshold
+            for ns, deep in ((range(t, t + 12), True),
+                             ([t + 3, t + 1, t + 3, t - 1, t + 2], False)):
+                outcome = verify_certificate(cert, ns, deep=deep)
+                assert (outcome.ok, outcome.checked, outcome.counterexample) \
+                    == replay_each(cert, ns, deep)
+    test_verify_certificate_reports_failures_in_order(monkeypatch)
+    assert lanes and set(lanes) == {1}
 
 
 def test_check_empirical_rejects_illegal_source():
