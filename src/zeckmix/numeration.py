@@ -6,9 +6,10 @@ no three in a row for tribonacci, digit m forces a zero below it for the
 metallic sequences).  All of these are instances of one criterion: every
 window of `order` consecutive digits, read most-significant first and padded
 with zeros past either end, must be lexicographically smaller than the
-coefficient vector.  For nonincreasing positive coefficients this is exactly
-the condition "each tail of the expansion stays below the next term", so the
-greedy expansion is the unique valid one.
+coefficient vector.  For nonincreasing positive coefficients, on terms that
+start as NumerationScheme requires, this is exactly the condition "each tail
+of the expansion stays below the next term", so the greedy expansion is the
+unique valid one.
 """
 
 from __future__ import annotations
@@ -101,6 +102,12 @@ class NumerationScheme:
     at least 1, so past the window each term exceeds its predecessor by at
     least a positive earlier term (for order 1 the window forces c1 >= 2).
     A term past the 64-bit guard ends the check.
+
+    The window rule is the greedy rule only when the terms start naturally:
+    t_{b+i} = c_1 t_{b+i-1} + ... + c_i t_b + 1 for 1 <= i < order, as in
+    every built-in family.  Otherwise two valid strings can share a value
+    (coefficients (2, 2) on 1, 2, 6, ... make "2" and "10" both valid), so
+    such schemes are rejected too.
     """
 
     recurrence: LinearRecurrence
@@ -124,6 +131,12 @@ class NumerationScheme:
         window = rec._terms[base:base + rec.order + 1]
         if any(a >= b for a, b in zip(window, window[1:])):
             raise ValueError("terms must increase strictly above the base index")
+        natural = [1]
+        for _ in range(1, rec.order):
+            natural.append(1 + sum(c * t for c, t in zip(coeffs, reversed(natural))))
+        if window[:rec.order] != natural[:len(window)]:
+            raise ValueError("terms above the base index must start as "
+                             "t_{b+i} = c_1 t_{b+i-1} + ... + c_i t_b + 1")
 
     @property
     def max_digit(self) -> int:
@@ -132,10 +145,6 @@ class NumerationScheme:
 
     def term(self, i: int) -> int:
         return self.recurrence.term(i)
-
-    def window_ok(self, window: tuple[int, ...]) -> bool:
-        """Lexicographic window criterion against the coefficient vector."""
-        return window < self.recurrence.coefficients
 
     def descriptor(self) -> str:
         from .families import _label  # its family table names the parameters
@@ -284,13 +293,20 @@ def is_valid(d: DigitString) -> bool:
         return True
     if digits[0] == 0:
         return False
-    scheme = d.scheme
-    order = scheme.recurrence.order
-    # pad below the base index with zeros; windows above the top need no
-    # check because they start with a padded zero < c1
-    padded = digits + (0,) * (order - 1)
-    for start in range(len(digits)):
-        if not scheme.window_ok(padded[start:start + order]):
+    coeffs = d.scheme.recurrence.coefficients
+    c1 = coeffs[0]
+    top = max(digits)
+    if top != c1:
+        return top < c1
+    # a window led by a digit below c1 is smaller, so only windows led by c1
+    # can fail.  A window cut short by the end compares as if padded with
+    # zeros, since every coefficient is at least 1; windows above the top
+    # start with a padded zero and pass.
+    order = len(coeffs)
+    start = -1
+    for _ in range(digits.count(c1)):
+        start = digits.index(c1, start + 1)
+        if digits[start:start + order] >= coeffs:
             return False
     return True
 
@@ -298,51 +314,46 @@ def is_valid(d: DigitString) -> bool:
 def enumerate_valid(scheme, max_len: int, guard: int = 10**7):
     """Yield every valid digit string of length <= max_len, once each,
     in length-then-lexicographic order.  The empty string (zero) comes first.
+
+    Each length is walked as an odometer.  Dropping the last digit lowers or
+    keeps every window and appending a zero keeps a string valid, so the
+    next string raises the last digit still below its bound and zeros the
+    rest.  A digit's bound depends only on the longest suffix before it equal
+    to c_1..c_j: it is cap[j], and follow[j][x] is that j after digit x.
     """
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
     coeffs = scheme.recurrence.coefficients
-    order = scheme.recurrence.order
-    max_digit = scheme.max_digit
-    yielded = 1
-    yield DigitString((), scheme)
-
-    def tail_ok(prefix: list[int]) -> bool:
-        # windows running off the right end, padded with zeros
-        length = len(prefix)
-        padded = tuple(prefix) + (0,) * (order - 1)
-        for start in range(max(0, length - order + 1), length):
-            if not padded[start:start + order] < coeffs:
-                return False
-        return True
-
-    def extend(prefix: list[int], remaining: int):
-        nonlocal yielded
-        if remaining == 0:
-            if not tail_ok(prefix):
-                return
-            yielded += 1
-            if yielded > guard:
+    order = len(coeffs)
+    cap = list(coeffs)
+    cap[-1] -= 1  # equal windows are fine until the whole vector is matched
+    follow = [[max(k for k in range(min(j + 1, order - 1) + 1)
+                   if (coeffs[:j] + (x,))[j + 1 - k:] == coeffs[:k])
+               for x in range(cap[j] + 1)] for j in range(order)]
+    left = guard - 1
+    yield _digit_string((), scheme)
+    for length in range(1, max_len + 1):
+        digits = [1] + [0] * (length - 1)
+        suffix = [0] * length  # j before each position; 0 after any zero
+        i = 0
+        while True:
+            if i + 1 < length:
+                suffix[i + 1] = follow[suffix[i]][digits[i]]
+            if left <= 0:
                 raise GuardExceededError(
                     f"enumerate_valid guard of {guard} strings exceeded"
                 )
-            yield DigitString(tuple(prefix), scheme)
-            return
-        lo = 1 if not prefix else 0
-        for digit in range(lo, max_digit + 1):
-            prefix.append(digit)
-            window_start = max(0, len(prefix) - order)
-            window = tuple(prefix[window_start:])
-            # compare the window ending at the new digit against the
-            # same-length coefficient prefix; equality is fine while
-            # digits can still follow
-            cmp = tuple(coeffs[:len(window)])
-            if window < cmp or (window == cmp and len(window) < order):
-                yield from extend(prefix, remaining - 1)
-            prefix.pop()
-
-    for length in range(1, max_len + 1):
-        yield from extend([], length)
+            left -= 1
+            yield _digit_string(tuple(digits), scheme)
+            # zero the digits at their bound from the right; once all are
+            # zero, index -1 reads a zero below cap[0] >= 1 and stops the scan
+            i = length - 1
+            while digits[i] == cap[suffix[i]]:
+                digits[i] = suffix[i] = 0
+                i -= 1
+            if i < 0:
+                break
+            digits[i] += 1
 
 
 def is_complete(seq: LinearRecurrence, horizon: int) -> bool:

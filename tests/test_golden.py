@@ -1,6 +1,7 @@
 """Byte-identical output: every in-process benchmark op of the `survey`,
-`replay` and `cli` workloads, over every pool member, reproduces the digest
-`zbench/golden.json` records for it."""
+`replay`, `roundtrip` and `cli` workloads, over every pool member and every
+large roundtrip block, reproduces the digest `zbench/golden.json` records
+for it."""
 
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ from harness import digest, load_golden  # noqa: E402
 GOLDEN = load_golden()
 
 
-@pytest.mark.parametrize("workload", ["survey", "replay", "cli"])
+@pytest.mark.parametrize("workload", ["survey", "replay", "roundtrip", "cli"])
 def test_ops_match_golden_digests(tmp_path, workload):
     ops = workloads.build(workload, 0, GOLDEN["pools"], tmp_path, full=True)
     assert ops

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -60,6 +61,41 @@ def hand_rule_ok(scheme, digits):
                 return False
         return True
     raise NotImplementedError(fam)
+
+
+def greedy_suffix_ok(scheme, digits):
+    """Valid exactly when there is no leading zero and every tail value
+    stays below the next term: the greedy criterion, with no windows."""
+    if digits and digits[0] == 0:
+        return False
+    base, tail = scheme.base_index, 0
+    for i, x in enumerate(reversed(digits)):
+        tail += x * term(scheme, base + i)
+        if tail >= term(scheme, base + i + 1):
+            return False
+    return True
+
+
+def natural_scheme(coeffs):
+    """A custom scheme on `coeffs` whose terms start naturally at index 0:
+    t_0 = 1 and t_i = c_1 t_{i-1} + ... + c_i t_0 + 1 below the order."""
+    init = [1]
+    for _ in range(1, len(coeffs)):
+        init.append(1 + sum(c * t for c, t in zip(coeffs, reversed(init))))
+    return custom_scheme(LinearRecurrence(len(coeffs), coeffs, tuple(init)), 0)
+
+
+# schemes with no hand rule, checked against greedy_suffix_ok instead, with
+# the longest string length the exhaustive checks below run to
+GREEDY_ORACLE_SCHEMES = [
+    (metallic_pisa_scheme(3, 2), 6),
+    (natural_scheme((2, 2, 1)), 6),
+    (natural_scheme((3, 2, 1)), 5),
+    (natural_scheme((2, 1, 1, 1)), 6),
+    (natural_scheme((3, 3, 2, 2)), 5),
+    (natural_scheme((4, 2)), 5),
+    (natural_scheme((10,)), 5),
+]
 
 
 def brute_valid_strings(scheme, max_len):
@@ -233,22 +269,13 @@ def test_is_valid_matches_hand_rule(scheme):
     fibonacci_scheme(),
     tribonacci_scheme(),
     metallic_scheme(2),
-    metallic_pisa_scheme(3, 2),
-])
+] + [scheme for scheme, _ in GREEDY_ORACLE_SCHEMES])
 def test_is_valid_iff_greedy_suffix_criterion(scheme):
     # a string is valid exactly when every tail value stays below the next term
-    base = scheme.base_index
-    for length in range(0, 6):
+    for length in range(0, 6 if scheme.max_digit < 4 else 5):
         for digits in itertools.product(range(scheme.max_digit + 2), repeat=length):
-            if digits and digits[0] == 0:
-                continue
-            d = DigitString(digits, scheme)
-            ok = all(
-                sum(digits[j] * term(scheme, base + length - 1 - j)
-                    for j in range(i, length)) < term(scheme, base + length - i)
-                for i in range(length)
-            )
-            assert is_valid(d) == ok, digits
+            assert is_valid(DigitString(digits, scheme)) == \
+                greedy_suffix_ok(scheme, digits), digits
 
 
 def test_enumerate_valid_examples():
@@ -262,17 +289,50 @@ def test_enumerate_valid_examples():
 
 def test_enumerate_valid_matches_bruteforce():
     for scheme in (fibonacci_scheme(), tribonacci_scheme(), metallic_scheme(2),
-                   metallic_scheme(3), metallic_pisa_scheme(3, 2)):
+                   metallic_scheme(3)):
         got = [d.digits for d in enumerate_valid(scheme, 5)]
-        if scheme.family == "metallic-pisa":
-            expect = [d.digits for d in enumerate_valid(scheme, 5)
-                      if is_valid(d)]  # no independent hand rule; see next assert
-            # cross-check against the greedy images instead
-            values = sorted(decode(DigitString(ds, scheme)) for ds in got)
-            assert values == list(range(len(got)))
-            continue
-        expect = brute_valid_strings(scheme, 5)
-        assert got == expect
+        assert got == brute_valid_strings(scheme, 5)
+
+
+@pytest.mark.parametrize("scheme,max_len", GREEDY_ORACLE_SCHEMES)
+def test_enumerate_valid_matches_greedy_suffix_oracle(scheme, max_len):
+    got = [d.digits for d in enumerate_valid(scheme, max_len)]
+    expect = [digits for length in range(max_len + 1)
+              for digits in itertools.product(range(scheme.max_digit + 1),
+                                              repeat=length)
+              if greedy_suffix_ok(scheme, digits)]
+    assert got == expect
+
+
+@given(coeffs=st.lists(st.integers(min_value=1, max_value=4), min_size=1,
+                       max_size=4).map(lambda cs: tuple(sorted(cs, reverse=True)))
+       .filter(lambda cs: len(cs) > 1 or cs[0] >= 2))
+@settings(max_examples=40, deadline=None)
+def test_natural_schemes_enumerate_onto_initial_segment(coeffs):
+    scheme = natural_scheme(coeffs)
+    values = [decode(d) for d in enumerate_valid(scheme, 5)]
+    assert values == sorted(values) and values == list(range(len(values)))
+
+
+def test_scheme_rejects_terms_not_starting_naturally():
+    # on 1, 2, 6, ... both "2" and "10" would be valid strings for 2
+    rec = LinearRecurrence(2, (2, 2), (0, 1))
+    with pytest.raises(ValueError, match="must start as"):
+        custom_scheme(rec, 1)
+    with pytest.raises(ValueError, match="must start as"):
+        NumerationScheme(LinearRecurrence(3, (1, 1, 1), (1, 2, 3)), "x", (), 0)
+
+
+def test_enumerate_valid_streams_in_constant_memory():
+    scheme = kbonacci_scheme(4)
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in enumerate_valid(scheme, 14))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 10_671
+    assert peak < 64 * 1024
 
 
 def test_enumerate_valid_order_length_then_lex():
@@ -284,6 +344,15 @@ def test_enumerate_valid_order_length_then_lex():
 def test_enumerate_valid_guard():
     with pytest.raises(GuardExceededError):
         list(enumerate_valid(fibonacci_scheme(), 20, guard=10))
+
+
+def test_enumerate_valid_guard_counts_strings():
+    fib = fibonacci_scheme()
+    guarded = enumerate_valid(fib, 20, guard=10)
+    first = [next(guarded).digits for _ in range(10)]
+    assert first == [d.digits for d in itertools.islice(enumerate_valid(fib, 20), 10)]
+    with pytest.raises(GuardExceededError):
+        next(guarded)
 
 
 def test_is_complete_examples():
