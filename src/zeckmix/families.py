@@ -50,11 +50,9 @@ def _metallic_tables(m: int):
             if i >= 1:
                 r = ("a" * j + "b" + "a" * (m - j)) + filler * (i - 1) \
                     + "a" + filler * (m - i)
-            elif j >= 1:
-                r = "a" + ("a" * (j - 1) + "b" + "a" * (m - j + 1)) \
-                    + filler * (m - 1)
             else:
-                r = "a" + ("b" + "a" * m) + filler * (m - 1)
+                t = max(j - 1, 0)
+                r = "a" + ("a" * t + "b" + "a" * (m - t)) + filler * (m - 1)
             step[(s, j)] = r
     return imgs, base, step
 

@@ -78,14 +78,10 @@ def is_subword(u: str, w: str) -> bool:
     return u in w
 
 
-def _matches(pattern: str, word: str, offset: int = 0) -> bool:
-    """Does `word` match pattern[offset : offset + len(word)] position-wise?"""
-    if offset + len(word) > len(pattern):
-        return False
-    return all(
-        p == WILDCARD or p == c
-        for p, c in zip(pattern[offset:offset + len(word)], word)
-    )
+def _matches(pattern: str, word: str) -> bool:
+    """Does `word` match `pattern` position-wise?"""
+    return len(word) == len(pattern) and all(
+        p == WILDCARD or p == c for p, c in zip(pattern, word))
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +510,7 @@ class _Extractor:
                     stack.pop()
                     continue
                 if not key[3]:
-                    assert len(key[1]) == 1 and _matches(key[1], key[2])
+                    assert _matches(key[1], key[2])
                     memo[key] = key[2]
                     stack.pop()
                     continue
@@ -592,10 +588,12 @@ class _Extractor:
         return None
 
     def _back(self, image, steps, idx, q, level, parts):
-        """Backtrack the progress chain that reaches q before child idx,
+        """Backtrack the progress chain that reaches q > 0 before child idx,
         putting the chunk of each child it passes into `parts`; return the
         child where the match begins and the progress it restarts with
-        there (0 if it begins at the child's start)."""
+        there.  The chain never continues from progress 0: a span from 0
+        that ends inside the pattern ends at an sp bit, which `_advance`
+        records first, as a restart."""
         pattern = self.pattern
         while q:
             idx -= 1
@@ -607,7 +605,7 @@ class _Extractor:
             parts[idx] = self._piece(
                 ("exact", pattern[p:q], image[idx], level - 1), p)
             q = p
-        return idx, 0
+        raise AssertionError("progress chain reached 0 without a restart")
 
     def occurrence(self, letter, level):
         """(element, start) with the pattern matching inside the element.
@@ -624,7 +622,7 @@ class _Extractor:
             path.append((image, idx, level))
             letter, level = image[idx], level - 1
         else:
-            assert self.size == 1 and _matches(self.pattern, letter, 0)
+            assert _matches(self.pattern, letter)
             element, start = letter, 0
         for image, idx, level in reversed(path):
             parts = [None] * len(image)
@@ -651,23 +649,19 @@ class _Extractor:
 
     def _straddle(self, image, prev, level):
         """(element, start) of the first match completing inside a child,
-        scanning children left to right: by a prefix of the child (progress
-        q in its ps), else by the child spanning the rest of the pattern
-        exactly; None if no match straddles the children."""
+        scanning children left to right, by a prefix of the child (progress
+        q in its ps); None if no match straddles the children.  A child
+        that spans the rest of the pattern exactly also holds q in its ps,
+        and q is never 0: ps bit 0 would be an occurrence in the child."""
         pattern, size, memo = self.pattern, self.size, self.memo
         steps = [{0: None}]
         for idx, c in enumerate(image):
-            _, _, ps_c, spans_c = prev[c]
+            ps_c = prev[c][2]
             key = None
             for q in steps[idx]:
                 if q < size and ps_c >> q & 1:
                     key = ("head", pattern[q:], c, level - 1)
                     break
-            else:
-                for q in steps[idx]:
-                    if _ends(spans_c, q) >> size & 1:
-                        key = ("exact", pattern[q:], c, level - 1)
-                        break
             if key is not None:
                 parts = [None] * len(image)
                 parts[idx] = self._piece(key, q)
@@ -676,9 +670,7 @@ class _Extractor:
                 self._build([part for part in parts if type(part) is tuple])
                 parts = [memo[part[0]] if type(part) is tuple else part
                          for part in parts]
-                start = sum(map(len, parts[:begin]))
-                if restart:
-                    start += len(parts[begin]) - restart
+                start = sum(map(len, parts[:begin + 1])) - restart
                 return "".join(parts), start
             # progress past child idx is needed only if nothing completed
             steps.append(_advance(steps[idx], prev[c], size))
@@ -801,9 +793,8 @@ def language_of_length(sub: RandomSubstitution, n: int,
     """All legal words of length n, sorted; exact via bounded-set propagation."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n == 1:
-        return tuple(sorted(a for a in sub.alphabet
-                            if is_legal(sub, a, want_witness=False).legal))
+    if n == 1:      # each letter is its own level-0 inflation word
+        return tuple(sorted(sub.alphabet))
     # every length-n factor of an element straddles a child boundary at
     # some level (a single letter holds none), and the straddles at level
     # k + 1 are a function of the (prefix, suffix) state at level k: once
@@ -830,8 +821,6 @@ def language_of_length(sub: RandomSubstitution, n: int,
                         for t in range(1, len(b) + 1):
                             tails_by_len.setdefault(t, set()).add(b[-t:])
                     for t, tails in tails_by_len.items():
-                        if n - t > cut:
-                            continue
                         for left in tails:
                             for right in pref_by_len[c][n - t]:
                                 found.add(left + right)

@@ -128,7 +128,6 @@ def seed_sets(family: Family, sub: RandomSubstitution | None = None) -> SeedSet:
 
 @dataclass(frozen=True)
 class WitnessEntry:
-    n: int
     u: str
     s: str
     evidence: LegalityVerdict
@@ -196,7 +195,7 @@ def check_empirical(sub: RandomSubstitution, seeds: SeedSet, w: str,
                 found.append(None)
         block.search([w + u + s for u, s in filter(None, found)])
         entries: list[WitnessEntry | None] = []
-        for n, hit in enumerate(found):
+        for hit in found:
             entry = None
             if hit is not None:
                 u, s = hit
@@ -205,7 +204,7 @@ def check_empirical(sub: RandomSubstitution, seeds: SeedSet, w: str,
                     raise AssertionError(
                         "extracted witness failed independent replay"
                     )
-                entry = WitnessEntry(n, u, s, evidence)
+                entry = WitnessEntry(u, s, evidence)
             entries.append(entry)
     threshold = None
     for n in range(n_max, -1, -1):
@@ -360,13 +359,6 @@ def _links(sub, base_alternatives, prev, step) -> bool:
     if prev is None:
         return step.level == 2 and base_alternatives.get(step.digit) == step.element
     return step.level == prev.level + 1 and in_image(sub, prev.element, step.element)
-
-
-def _is_inflation_chain(sub, steps, base_alternatives) -> bool:
-    """The steps start at a base element and each later one links to the one
-    before (`_links`)."""
-    return all(_links(sub, base_alternatives, prev, step)
-               for prev, step in zip([None, *steps], steps))
 
 
 @dataclass(frozen=True)

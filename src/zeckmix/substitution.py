@@ -32,7 +32,6 @@ class RandomSubstitution:
     rule: dict[str, tuple[str, ...]]
     uniform_length: bool
     abelian_compatible: bool
-    label: str = ""
 
     @cached_property
     def first_images(self) -> dict[str, str]:
@@ -44,7 +43,7 @@ class RandomSubstitution:
         return format_rules(self)
 
 
-def make_substitution(rule, alphabet=None, label="") -> RandomSubstitution:
+def make_substitution(rule, alphabet=None) -> RandomSubstitution:
     """Validate and canonicalize a letter -> iterable-of-words mapping."""
     if alphabet is None:
         alphabet = tuple(rule.keys())
@@ -74,32 +73,28 @@ def make_substitution(rule, alphabet=None, label="") -> RandomSubstitution:
         len({tuple(w.count(b) for b in alphabet) for w in canonical[a]}) == 1
         for a in alphabet
     )
-    return RandomSubstitution(alphabet, canonical, uniform, abelian, label)
+    return RandomSubstitution(alphabet, canonical, uniform, abelian)
 
 
 def random_fibonacci() -> RandomSubstitution:
-    return _metallic_pisa(2, 1, "fibonacci")
+    return metallic_pisa(2, 1)
 
 
 def random_tribonacci() -> RandomSubstitution:
-    return _metallic_pisa(3, 1, "tribonacci")
+    return metallic_pisa(3, 1)
 
 
 def random_kbonacci(k: int) -> RandomSubstitution:
-    return _metallic_pisa(k, 1, f"{k}-bonacci")
+    return metallic_pisa(k, 1)
 
 
 def random_metallic(m: int) -> RandomSubstitution:
-    return _metallic_pisa(2, m, f"metallic-{m}")
+    return metallic_pisa(2, m)
 
 
 def metallic_pisa(k: int, m: int) -> RandomSubstitution:
     """a_i -> {a_1^j a_{i+1} a_1^(m-j)} for i < k and a_k -> a_1; every
     built-in family is an instance (fibonacci is k=2, m=1)."""
-    return _metallic_pisa(k, m, f"metallic-pisa-{k}-{m}")
-
-
-def _metallic_pisa(k: int, m: int, label: str) -> RandomSubstitution:
     if not 2 <= k <= 26 or m < 1:
         raise ValueError("need 2 <= k <= 26 and m >= 1")
     letters = string.ascii_lowercase[:k]
@@ -110,7 +105,7 @@ def _metallic_pisa(k: int, m: int, label: str) -> RandomSubstitution:
             a1 * j + letters[i + 1] + a1 * (m - j) for j in range(m + 1)
         )
     rule[letters[-1]] = (a1,)
-    return make_substitution(rule, letters, label=label)
+    return make_substitution(rule, letters)
 
 
 def apply(sub: RandomSubstitution, w: str, guard: int = DEFAULT_SET_GUARD) -> set[str]:
@@ -605,7 +600,7 @@ def format_rules(sub: RandomSubstitution) -> str:
     return "\n".join(lines)
 
 
-def parse_rules(text: str, label="custom") -> RandomSubstitution:
+def parse_rules(text: str) -> RandomSubstitution:
     rule: dict[str, tuple[str, ...]] = {}
     order = []
     for raw in text.splitlines():
@@ -628,4 +623,4 @@ def parse_rules(text: str, label="custom") -> RandomSubstitution:
         order.append(letter)
     if not rule:
         raise ValueError("no rules found")
-    return make_substitution(rule, order, label=label)
+    return make_substitution(rule, order)

@@ -417,7 +417,50 @@ def test_lanes_of_different_periods_finish():
         (False, 7, None), (False, 7, None), (False, 7, None), (True, 0, "0")]
 
 
-@given(rule=mixed_rules, n=st.integers(min_value=2, max_value=4))
+@given(rule=st.one_of(mixed_rules, st.sampled_from(BUILT_IN_RULES)),
+       data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_profiles_hold_the_facts_extraction_relies_on(rule, data):
+    # `_Extractor` builds a straddling match through a child's ps bit and
+    # ends its back-walk at a restart, relying on these facts of every
+    # profile instead of handling their failure:
+    #   (L1)  a span that ends at the pattern's end starts at a ps bit;
+    #   (L2)  ps bit 0 is an occurrence;
+    #   (L2') a span of the whole pattern is an occurrence;
+    #   (L3)  a span from 0 that ends inside the pattern ends at an sp bit.
+    # Checked on every letter at every level up to each lane's stop, of
+    # one-lane and batched searches
+    sub = make_substitution(rule)
+    letters = "".join(sub.alphabet)
+    patterns = data.draw(st.lists(
+        st.text(alphabet=letters + "?", min_size=1, max_size=10),
+        min_size=1, max_size=4))
+    stop = data.draw(st.one_of(st.none(), st.lists(
+        st.sampled_from(letters), min_size=1, unique=True)))
+    min_level = data.draw(st.integers(0, 3))
+    try:
+        lanes = [*_pattern_search(sub, patterns, stop, min_level),
+                 *(_pattern_search(sub, [p], stop, min_level)[0]
+                   for p in patterns)]
+    except GuardExceededError:
+        return
+    for pattern, (_, last, _, history) in zip(patterns * 2, lanes):
+        size = len(pattern)
+        for level in range(last + 1):
+            for letter in sub.alphabet:
+                occurs, sp, ps, spans = history[level][letter]
+                where = (pattern, letter, level)
+                assert occurs or not ps & 1, where                      # L2
+                for length, starts in spans:
+                    if starts >> size - length & 1:
+                        assert ps >> size - length & 1, where           # L1
+                    if starts & 1 and length == size:
+                        assert occurs, where                            # L2'
+                    elif starts & 1:
+                        assert sp >> length & 1, where                  # L3
+
+
+@given(rule=mixed_rules, n=st.integers(min_value=1, max_value=4))
 @settings(max_examples=150, deadline=None)
 def test_language_matches_per_word_legality_mixed_rules(rule, n):
     # rules with images of different lengths, not necessarily primitive:

@@ -19,7 +19,6 @@ from zeckmix.numeration import DigitString, decode, encode_greedy
 from zeckmix.semimixing import (
     Family,
     SeedSet,
-    _is_inflation_chain,
     certificate_report,
     certify,
     check_empirical,
@@ -358,7 +357,8 @@ def test_inflation_chain_agrees_with_dag(family, span):
         base_alternatives = {lead: e0 for lead, (_, _, e0) in cert.base_table.items()}
         for n in range(cert.threshold, cert.threshold + span + 1):
             _, _, steps = derive_witness(cert, n)
-            assert _is_inflation_chain(sub, steps, base_alternatives)
+            assert all(semimixing._links(sub, base_alternatives, prev, step)
+                       for prev, step in zip([None, *steps], steps))
             final = steps[-1]
             assert build_dag(sub, final.level).contains(final.element, "a", final.level)
 
@@ -538,6 +538,86 @@ def test_verify_certificate_matches_replay_each(case):
     outcome = verify_certificate(cert, ns, deep=deep)
     assert (outcome.ok, outcome.checked, outcome.counterexample) == \
         replay_each(cert, ns, deep)
+
+
+def _bookkeeping_off(u, s, steps):
+    first = steps[0]
+    return u, s, [replace(first, word=first.word + first.seed, seed=""),
+                  *steps[1:]]
+
+
+# on the fibonacci certificate for "ab" (threshold 2, base table {1: (a, ab,
+# aab)}, n = 7 derived in four steps): a corrupted field or table fails the
+# preamble (n = -1), and a rigged derivation of n = 7 fails that n
+_REASONS = [
+    pytest.param("embedding split does not reassemble w_prime",
+                 lambda c: replace(c, x=c.x + "a"), None, id="embedding"),
+    pytest.param("w_prime is not a level-2 inflation word of a",
+                 lambda c: replace(c, w_prime=c.w_prime + "bbb", y=c.y + "bbb"),
+                 None, id="w_prime level"),
+    pytest.param("threshold does not equal |y| + n0",
+                 lambda c: replace(c, threshold=c.threshold + 1), None,
+                 id="threshold"),
+    pytest.param("n0 is not the recorded sequence term",
+                 lambda c: replace(c, n0=c.n0 + 1, threshold=c.threshold + 1),
+                 None, id="n0"),
+    pytest.param("letter image a->bb is not a rule image",
+                 lambda c: replace(c, letter_images={**c.letter_images, "a": "bb"}),
+                 None, id="letter image"),
+    pytest.param("base seed 'aa' is not in the seed set",
+                 lambda c: replace(c, base_table={1: ("a", "aa", "aaa")}), None,
+                 id="base seed"),
+    pytest.param("base word for digit 1 is not a prefix of e0",
+                 lambda c: replace(c, base_table={1: ("a", "ab", "aba")}), None,
+                 id="base prefix"),
+    pytest.param("base word for digit 2 has the wrong length",
+                 lambda c: replace(c, base_table={2: ("a", "ab", "aab")}), None,
+                 id="base length"),
+    pytest.param("base element for digit 1 is not level-2",
+                 lambda c: replace(c, base_table={1: ("a", "ab", "aabb")}), None,
+                 id="base level-2"),
+    pytest.param("step seed 'zb' is not in the seed set",
+                 lambda c: corrupt_step(c, "zb", 0, "aba"), None, id="step seed"),
+    pytest.param("step word 'abb' is not an image of 'ab'",
+                 lambda c: corrupt_step(c, "ab", 0, "abb"), None, id="step image"),
+    pytest.param("step word 'aba' too short for digit 2",
+                 lambda c: corrupt_step(c, "ab", 2, "aba"), None,
+                 id="step too short"),
+    pytest.param("step ('ab', 1) yields a non-seed follower",
+                 lambda c: corrupt_step(c, "ab", 1, "baa"), None,
+                 id="step follower"),
+    pytest.param("witness has length 8, expected 7", None,
+                 lambda u, s, steps: (u + "a", s, steps), id="witness length"),
+    pytest.param("witness seed 'aa' is not in the seed set", None,
+                 lambda u, s, steps: (u, "aa", steps), id="witness seed"),
+    pytest.param("digit bookkeeping broken at level 2", None, _bookkeeping_off,
+                 id="bookkeeping"),
+    pytest.param("derivation consumed the wrong digit string", None,
+                 lambda u, s, steps: (u, s, steps[:-1]), id="digit string"),
+]
+
+
+@pytest.mark.parametrize("reason, corrupt, rig", _REASONS)
+def test_every_counterexample_reason(monkeypatch, reason, corrupt, rig):
+    # every preamble reason and the per-n reasons no other test produces,
+    # each decided as the oracle that replays one n at a time decides it
+    cert = certify(random_fibonacci(), FIB, "ab")
+    assert (cert.threshold, cert.base_table) == (2, {1: ("a", "ab", "aab")})
+    if corrupt is not None:
+        cert = corrupt(cert)
+    if rig is not None:
+        real = semimixing._derive_witness
+
+        def rigged(c, n, digits, memo=None):
+            got = real(c, n, digits, memo)
+            return rig(*got) if n == 7 else got
+
+        monkeypatch.setattr(semimixing, "_derive_witness", rigged)
+    ns = range(2, 12)
+    outcome = verify_certificate(cert, ns)
+    assert outcome.counterexample == (-1 if rig is None else 7, reason)
+    assert (outcome.ok, outcome.checked, outcome.counterexample) == \
+        replay_each(cert, ns, True)
 
 
 def test_empirical_threshold_below_certificate_threshold():

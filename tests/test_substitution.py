@@ -20,6 +20,7 @@ from zeckmix.errors import (
 )
 from zeckmix.numeration import (
     fibonacci_scheme,
+    metallic_pisa_scheme,
     metallic_scheme,
     term,
     tribonacci_scheme,
@@ -75,6 +76,19 @@ def test_metallic_pisa_rules():
     assert set(sub.rule["c"]) == {"a"}
     assert metallic_pisa(2, 3).rule == random_metallic(3).rule
     assert metallic_pisa(4, 1).rule == random_kbonacci(4).rule
+
+
+@pytest.mark.parametrize("k, m", [
+    pytest.param(k, m, marks=pytest.mark.xfail(
+        k >= 3 and m >= 2, strict=True,
+        reason="the rule's lengths follow (m, ..., m, 1), the scheme's "
+               "recurrence (m, 1, ..., 1)"))
+    for k in range(2, 7) for m in range(1, 5)])
+def test_metallic_pisa_lengths_follow_its_scheme(k, m):
+    scheme = metallic_pisa_scheme(k, m)
+    dag = build_dag(metallic_pisa(k, m), 10)
+    assert [dag.element_length("a", level) for level in range(11)] == \
+        [scheme.term(scheme.base_index + level) for level in range(11)]
 
 
 def test_family_parameter_errors():
