@@ -32,8 +32,9 @@ proves that the final element is an inflation word of a at its level.
 A prefix of a greedy expansion is the greedy expansion of a smaller value,
 and a step depends only on the digits consumed so far, so the derivations
 of many gap lengths form a trie of digit prefixes.  One replay derives and
-checks each distinct prefix once: over a fibonacci span of 61 gap lengths
-that is 61 steps instead of 416.
+checks each distinct prefix once, depth first, so that only the steps on
+one root-to-node path are alive at a time: over a fibonacci span of 61 gap
+lengths that is 61 steps instead of 416.
 """
 
 from __future__ import annotations
@@ -299,7 +300,10 @@ def _expand(images: dict[str, str], word: str) -> str:
 def derive_witness(cert: Certificate, n: int) -> tuple[str, str, list[DerivationStep]]:
     """Replay the digit-driven construction for gap length n (n >= threshold),
     using only the certificate's recorded choices."""
-    return _derive_witness(cert, n, _gap_digits(cert, n, cert.family.scheme()))
+    steps = []
+    for digit in _gap_digits(cert, n, cert.family.scheme()):
+        steps.append(_next_step(cert, steps[-1] if steps else None, digit))
+    return cert.y + steps[-1].word, steps[-1].seed, steps
 
 
 def _gap_digits(cert, n, scheme) -> tuple[int, ...]:
@@ -310,25 +314,6 @@ def _gap_digits(cert, n, scheme) -> tuple[int, ...]:
     if n > _WITNESS_LENGTH_GUARD:
         raise GuardExceededError("witness length exceeds the work guard")
     return encode_greedy(scheme, n - len(cert.y)).digits
-
-
-def _derive_witness(cert, n, digits, memo=None):
-    """derive_witness for gap length n with its digits (`_gap_digits`)
-    supplied, so that a caller that also checks them encodes n once.
-
-    `memo`, a dict from digit prefix to the step that ends it, is shared by
-    the derivations of one caller: each step extends its parent prefix's
-    step by one digit, and a step is built only for a prefix not in it."""
-    if memo is None:
-        memo = {}
-    steps = []
-    for end in range(1, len(digits) + 1):
-        step = memo.get(digits[:end])
-        if step is None:
-            step = memo[digits[:end]] = _next_step(
-                cert, steps[-1] if steps else None, digits[end - 1])
-        steps.append(step)
-    return cert.y + steps[-1].word, steps[-1].seed, steps
 
 
 def _next_step(cert, prev, digit):
@@ -382,22 +367,22 @@ def verify_certificate(cert: Certificate, ns, deep: bool = True) -> Verification
     (`_links`); a word in the image of a level-k word of a is a
     level-(k+1) word of a.
 
-    A step is a function of its digit prefix alone, so the derivations
-    share one memo from digit prefix to step, and one from digit prefix to
-    the step's verdicts (bookkeeping fault, and when deep its link), kept
-    with the step and the step before it that they read.  A verdict is
-    reused only for those very objects, which the memo keeps alive.  The
-    contexts w u s are decided in batches of at most _BATCH_CHARS
-    characters (the split of `_Block.search`), each in a block of its own,
-    and the pending ones before a failing derivation or a guard error is
-    reported; so the outcome is that of checking each n alone, in order.
+    A step is a function of its digit prefix alone, so the replay walks
+    the trie of the gap lengths' digit strings depth first, deriving and
+    checking each node once against its parent and keeping only the steps
+    on the current path.  Each n fails, in this order, on a failed
+    derivation on its path, its final length, its final seed, the path's
+    first bookkeeping fault, when deep its first failed link, or an illegal
+    context w u s; contexts are decided in batches of at most _BATCH_CHARS
+    characters (the split of `_Block.search`), each in a block of its own.
+    The outcome is that of checking each n alone, in the order of `ns`, so
+    a guard error is raised once every n before it passes.
     """
     sub = cert.family.substitution()
     scheme = cert.family.scheme()
     seeds = set(cert.seeds)
-    checked = 0
 
-    def fail(n, reason):
+    def fail(n, reason, checked=0):
         return VerificationOutcome(False, checked, (n, reason))
 
     if cert.w_prime != cert.x + cert.source + cert.y:
@@ -434,78 +419,88 @@ def verify_certificate(cert: Certificate, ns, deep: bool = True) -> Verification
         if r[digit:digit + cert.seed_length] not in seeds:
             return fail(-1, f"step ({s!r}, {digit}) yields a non-seed follower")
 
-    # per-call memos by digit prefix: the derived steps, and each step's
-    # [step, step before it, bookkeeping fault, link verdict or None]
-    derived, verdicts = {}, {}
-
-    def replay(n):
-        """The context w u s whose legality finishes the check of n, or
-        None and the reason the derivation for n fails."""
+    # order: ns up to the first n whose digits fail (a span far past the
+    # guard is never held); stop: the earliest failing position and its
+    # reason, the walk skipping all at or after it; trie: digit ->
+    # [children, position of the n ending here or None, earliest below]
+    order, stop, trie = [], [float("inf"), None], {}
+    for pos, n in enumerate(ns):
+        order.append(n)
         try:
             digits = _gap_digits(cert, n, scheme)
-            u, s, steps = _derive_witness(cert, n, digits, derived)
-        except (KeyError, ValueError) as exc:
-            return None, f"derivation failed: {exc}"
-        if len(u) != n:
-            return None, f"witness has length {len(u)}, expected {n}"
-        if s not in seeds:
-            return None, f"witness seed {s!r} is not in the seed set"
-        prefix, prev, path = (), None, []
-        for step in steps:
-            prefix += (step.digit,)
-            got = verdicts.get(prefix)
-            if got is None or got[0] is not step or got[1] is not prev:
-                fault = ""
-                if not step.element.startswith(step.word + step.seed):
-                    fault = f"prefix invariant broken at level {step.level}"
-                elif len(step.word) != decode(DigitString(prefix, scheme)):
-                    fault = f"digit bookkeeping broken at level {step.level}"
-                got = verdicts[prefix] = [step, prev, fault, None]
-            if got[2]:
-                return None, got[2]
-            path.append(got)
-            prev = step
-        if prefix != digits:
-            return None, "derivation consumed the wrong digit string"
-        for got in path if deep else ():
-            if got[3] is None:
-                got[3] = _links(sub, base_alternatives, got[1], got[0])
-            if not got[3]:
-                return None, "final element is not an inflation word of a"
-        return cert.source + u + s, None
+        except GuardExceededError as exc:   # raised if every n before it passes
+            stop[:] = pos, exc
+            break
+        except ValueError as exc:
+            stop[:] = pos, f"derivation failed: {exc}"
+            break
+        children = trie
+        for digit in digits:
+            node = children.setdefault(digit, [{}, None, pos])
+            children = node[0]
+        if node[1] is None:
+            node[1] = pos
 
-    batch, size = [], 0   # the (n, context) pairs not decided yet
+    batch, size = [], 0   # the (position, context) pairs not decided yet
 
     def decide():
-        """Decide the batch in order, in a block of its own; (n, reason) for
-        its first illegal context, or None."""
-        nonlocal checked, size
+        """Decide the batch in a block of its own."""
+        nonlocal size
         with _shared_extraction(sub) as block:
-            block.search([context for _, context in batch])
-            for n, context in batch:
-                if not is_legal(sub, context, want_witness=False).legal:
-                    return n, f"context {context!r} is not legal"
-                checked += 1
+            block.search([context for pos, context in batch if pos < stop[0]])
+            for pos, context in batch:
+                if pos < stop[0] and not is_legal(
+                        sub, context, want_witness=False).legal:
+                    stop[:] = pos, f"context {context!r} is not legal"
         batch.clear()
         size = 0
-        return None
 
-    for n in ns:
-        try:
-            context, reason = replay(n)
-        except GuardExceededError:    # reported once the contexts before n pass
-            if (stop := decide()) is None:
-                raise
-            return fail(*stop)
-        if context is None:
-            return fail(*(decide() or (n, reason)))
-        if size + len(context) > _BATCH_CHARS and (stop := decide()):
-            return fail(*stop)
-        batch.append((n, context))
-        size += len(context)
-    if (stop := decide()) is not None:
-        return fail(*stop)
-    return VerificationOutcome(True, checked, None)
+    def walk(children, prefix, prev, fault, unlinked):
+        """Derive and check each child's step, then its subtree; `fault` is
+        the path's first bookkeeping fault, and `unlinked` whether a link
+        on it failed."""
+        nonlocal size
+        for digit, (below, pos, earliest) in children.items():
+            if earliest >= stop[0]:
+                continue
+            digits = prefix + (digit,)
+            try:
+                step = _next_step(cert, prev, digit)
+            except (KeyError, ValueError) as exc:
+                stop[:] = earliest, f"derivation failed: {exc}"
+                continue
+            here, cut = fault, unlinked
+            if not here:
+                if not step.element.startswith(step.word + step.seed):
+                    here = f"prefix invariant broken at level {step.level}"
+                elif len(step.word) != decode(DigitString(digits, scheme)):
+                    here = f"digit bookkeeping broken at level {step.level}"
+                elif deep and not cut:
+                    cut = not _links(sub, base_alternatives, prev, step)
+            if pos is not None and pos < stop[0]:
+                n, length = order[pos], len(cert.y) + len(step.word)
+                if length != n:
+                    stop[:] = pos, f"witness has length {length}, expected {n}"
+                elif step.seed not in seeds:
+                    stop[:] = pos, f"witness seed {step.seed!r} is not in the seed set"
+                elif here or cut:
+                    stop[:] = pos, here or "final element is not an inflation word of a"
+                else:
+                    context = cert.source + cert.y + step.word + step.seed
+                    if size + len(context) > _BATCH_CHARS:
+                        decide()
+                    batch.append((pos, context))
+                    size += len(context)
+            walk(below, digits, step, here, cut)
+
+    walk(trie, (), None, "", False)
+    decide()
+    pos, reason = stop
+    if isinstance(reason, GuardExceededError):
+        raise reason
+    if reason is not None:
+        return fail(order[pos], reason, pos)
+    return VerificationOutcome(True, len(order), None)
 
 
 # ---------------------------------------------------------------------------

@@ -294,12 +294,13 @@ def _fibonacci_certificate(tmp_path):
 def test_semimix_verify_long_span_in_bounded_memory(tmp_path):
     # a span's contexts are decided in batches of bounded total length,
     # each in a block of its own that is dropped once the batch is decided,
-    # so neither a level's bitsets nor the kept lanes grow with the span:
-    # span 2,000 needs between 26 and 28 MB of address space and span 4,000
-    # between 46 and 48 MB, where one block holding every batch's lanes
-    # needed between 50 and 56 MB at span 2,000 and over 64 MB at 3,000
+    # and the replay keeps only the steps on its current path through the
+    # trie of digit strings, so memory barely grows with the span: spans
+    # 2,000 and 4,000 need between 20 and 21 MB of address space and span
+    # 8,000 between 22 and 23 MB, where keeping every derived step needed
+    # between 46 and 48 MB at span 4,000 and over 64 MB at span 8,000
     cert_path = _fibonacci_certificate(tmp_path)
-    for span in (2000, 4000):
+    for span in (2000, 4000, 8000):
         result = subprocess.run(
             [sys.executable, "-m", "zeckmix.cli", "semimix", "verify",
              "--cert", str(cert_path), "--span", str(span)],
@@ -311,12 +312,14 @@ def test_semimix_verify_long_span_in_bounded_memory(tmp_path):
         assert f"checked: {span + 1}" in result.stdout
 
 
-def test_out_of_memory_exits_2(tmp_path):
-    # running out of memory is resource trouble, not a counterexample: the
-    # replay of span 8,000 outgrows 40 MB of address space near span 3,400
+def test_out_of_memory_exits_2():
+    # running out of memory is resource trouble, not a counterexample or a
+    # guard: the level-12 inflation words of a outgrow 40 MB of address
+    # space long before the word-set guard, which levels 8 to 10 reach at
+    # about 144 MB
     result = subprocess.run(
-        [sys.executable, "-m", "zeckmix.cli", "semimix", "verify",
-         "--cert", str(_fibonacci_certificate(tmp_path)), "--span", "8000"],
+        [sys.executable, "-m", "zeckmix.cli", "subst", "inflate",
+         "--family", "fibonacci", "--letter", "a", "--level", "12"],
         env=src_env(), capture_output=True, text=True, timeout=120,
         preexec_fn=_address_space_cap(40),
     )

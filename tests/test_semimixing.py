@@ -177,31 +177,88 @@ def test_check_empirical_shared_across_threads():
         assert got == serial[k:] + serial[:k], k
 
 
+def _digits(cert, n):
+    return semimixing._gap_digits(cert, n, cert.family.scheme())
+
+
+def _rig_steps(monkeypatch, cert, changes):
+    """Patch semimixing._next_step so that the step at each digit prefix in
+    `changes` comes out changed by its function; derive_witness, and so
+    replay_each, derives through the same patched function."""
+    real = semimixing._next_step
+    at = {}
+    for prefix, change in changes.items():
+        step = None
+        for digit in prefix:
+            step = real(cert, step, digit)
+        at[step] = change   # a step is unique to its prefix
+
+    def rigged(c, prev, digit):
+        step = real(c, prev, digit)
+        return at[step](step) if step in at else step
+
+    monkeypatch.setattr(semimixing, "_next_step", rigged)
+
+
 def test_verify_certificate_reports_failures_in_order(monkeypatch):
-    # contexts are decided in batches after their derivations, but the
+    # contexts are decided in batches as the walk reaches them, but the
     # outcome is that of checking each n in turn: the first failing n wins,
     # whatever fails later or raises
     fib = random_fibonacci()
     cert = certify(fib, FIB, "a")
     t = cert.threshold
-    real = semimixing._derive_witness
+    monkeypatch.setattr(semimixing, "_WITNESS_LENGTH_GUARD", t + 3)
 
-    def rigged(c, n, digits, memo=None):
-        if n == t + 4:
-            raise GuardExceededError("rigged")
-        u, s, steps = real(c, n, digits, memo)
-        return ("b" * n if n == t + 2 else u), s, steps
+    def all_b(step):    # b in place of every letter of the word
+        b = "b" * len(step.word)
+        return replace(step, word=b, element=b + step.element[len(b):])
 
-    monkeypatch.setattr(semimixing, "_derive_witness", rigged)
-    illegal = f"context {'a' + 'b' * (t + 2) + 'ab'!r} is not legal"
+    _rig_steps(monkeypatch, cert, {_digits(cert, t + 2): all_b})
+    u, s, _ = derive_witness(cert, t + 2)
+    assert u == cert.y + "b" * (t + 2 - len(cert.y))
+    illegal = f"context {'a' + u + s!r} is not legal"
     for ns in (range(t, t + 6), [t, t + 1, t + 2, t + 4]):
         outcome = verify_certificate(cert, ns, deep=False)
         assert (outcome.ok, outcome.checked) == (False, 2)
         assert outcome.counterexample == (t + 2, illegal)
+        assert replay_each(cert, ns, False) == (False, 2, (t + 2, illegal))
+    for check in (verify_certificate, replay_each):
+        with pytest.raises(GuardExceededError):
+            check(cert, [t, t + 4, t + 2, t - 1], False)
+
+    def past_the_guard():   # ns is read no further than its first failure
+        yield from (t, t + 1, t + 4)
+        raise AssertionError("ns was read past the guard")
+
     with pytest.raises(GuardExceededError):
-        verify_certificate(cert, [t, t + 4, t + 2], deep=False)
+        verify_certificate(cert, past_the_guard(), deep=False)
+    below = f"derivation failed: n must be at least the threshold {t}"
+    ns = [t + 1, t - 1, t + 4, t - 2]
+    outcome = verify_certificate(cert, ns, deep=False)
+    assert (outcome.ok, outcome.checked, outcome.counterexample) == \
+        replay_each(cert, ns, False) == (False, 1, (t - 1, below))
     assert verify_certificate(cert, [t + 3, t + 1], deep=False).checked == 2
     assert language._SHARED_MEMO.get() is None
+
+
+def test_replay_skips_what_follows_a_failure(monkeypatch):
+    # the walk reaches n = 6 (digits 1000) before n = 5 (digits 101): once
+    # n = 6 fails, nothing at or after its position in ns is derived, so
+    # the broken step of n = 5 is seen only when n = 5 comes first
+    cert = certify(random_fibonacci(), FIB, "ab")
+    assert (_digits(cert, 6), _digits(cert, 5)) == ((1, 0, 0, 0), (1, 0, 1))
+
+    def missing(step):
+        raise KeyError("missing")
+
+    _rig_steps(monkeypatch, cert, {
+        _digits(cert, 6): lambda step: replace(step, seed="aa"),
+        _digits(cert, 5): missing})
+    for ns, reason in (([6, 5], "witness seed 'aa' is not in the seed set"),
+                       ([5, 6], "derivation failed: 'missing'")):
+        outcome = verify_certificate(cert, ns)
+        assert (outcome.ok, outcome.checked, outcome.counterexample) == \
+            replay_each(cert, ns, True) == (False, 0, (ns[0], reason))
 
 
 def test_verify_certificate_one_context_per_batch(monkeypatch):
@@ -242,6 +299,8 @@ def test_check_empirical_matches_blind_enumeration():
     table = check_empirical(fib, seeds, "b", 8)
     assert table.entries[0] is None  # bbb is illegal
     assert table.threshold == 1
+    assert table.to_report().splitlines()[5:7] == [
+        "n=0 witnessed=no", f"n=1 u={table.entries[1].u} s=bb verified=yes"]
     for n in range(9):
         blind = any(
             is_legal(fib, "b" + "".join(mid) + "bb", want_witness=False).legal
@@ -368,26 +427,22 @@ def test_deep_verification_catches_broken_final_element(monkeypatch):
     cert = certify(fib, FIB, "ab")
     ns = range(cert.threshold, cert.threshold + 12)
     bad_n = cert.threshold + 7
-    real = semimixing._derive_witness
 
-    def broken_tail(c, n, digits, memo=None):
-        u, s, steps = real(c, n, digits, memo)
-        if n == bad_n:
-            last = steps[-1]
-            keep = len(last.word) + len(last.seed)
-            tail = last.element[keep:]
-            assert tail, "the element needs a tail to break"
-            element = last.element[:keep] + tail[:-1]
-            assert element.startswith(last.word + last.seed)
-            assert not build_dag(fib, last.level).contains(element, "a", last.level)
-            steps = steps[:-1] + [replace(last, element=element)]
-        return u, s, steps
+    def broken_tail(step):
+        keep = len(step.word) + len(step.seed)
+        tail = step.element[keep:]
+        assert tail, "the element needs a tail to break"
+        element = step.element[:keep] + tail[:-1]
+        assert not build_dag(fib, step.level).contains(element, "a", step.level)
+        return replace(step, element=element)
 
-    monkeypatch.setattr(semimixing, "_derive_witness", broken_tail)
+    _rig_steps(monkeypatch, cert, {_digits(cert, bad_n): broken_tail})
     outcome = verify_certificate(cert, ns, deep=True)
     assert not outcome.ok
     assert outcome.counterexample == (bad_n, "final element is not an inflation word of a")
     assert outcome.checked == bad_n - cert.threshold
+    assert (outcome.ok, outcome.checked, outcome.counterexample) == \
+        replay_each(cert, ns, True)
     shallow = verify_certificate(cert, ns, deep=False)
     assert shallow.ok and shallow.checked == len(ns)
 
@@ -409,81 +464,74 @@ def test_verify_certificate_builds_one_scheme(monkeypatch):
         assert verify_certificate(cert, ns, deep=deep).ok
         assert len(built) == 1
     built.clear()
-    assert derive_witness(cert, cert.threshold + 3) == \
-        semimixing._derive_witness(
-            cert, cert.threshold + 3,
-            semimixing._gap_digits(cert, cert.threshold + 3, real(FIB)))
+    n = cert.threshold + 3
+    _, _, steps = derive_witness(cert, n)
     assert len(built) == 1
+    assert tuple(step.digit for step in steps) == \
+        encode_greedy(real(FIB), n - len(cert.y)).digits
 
 
 def test_deep_verification_anchors_the_chain_at_level_two(monkeypatch):
     # every link is still an image one level up, but the chain claims to
-    # start at level 3, where no base element was checked
+    # start at level 3, where no base element was checked: only the base
+    # step is rigged, and each later step's level is its parent's plus one
     fib = random_fibonacci()
     cert = certify(fib, FIB, "a")
-    real = semimixing._derive_witness
-
-    def shifted_levels(c, n, digits, memo=None):
-        u, s, steps = real(c, n, digits, memo)
-        return u, s, [replace(steps[0], level=3)] + [
-            replace(step, level=step.level + 1) for step in steps[1:]
-        ]
-
-    monkeypatch.setattr(semimixing, "_derive_witness", shifted_levels)
-    outcome = verify_certificate(cert, [cert.threshold], deep=True)
+    _rig_steps(monkeypatch, cert, {
+        (lead,): lambda step: replace(step, level=3) for lead in cert.base_table})
+    ns = [cert.threshold + 4]
+    assert [step.level for step in derive_witness(cert, ns[0])[2]] == [3, 4, 5, 6]
+    outcome = verify_certificate(cert, ns, deep=True)
     assert outcome.counterexample == (
-        cert.threshold, "final element is not an inflation word of a")
-    assert verify_certificate(cert, [cert.threshold], deep=False).ok
+        ns[0], "final element is not an inflation word of a")
+    assert (outcome.ok, outcome.checked, outcome.counterexample) == \
+        replay_each(cert, ns, True)
+    assert verify_certificate(cert, ns, deep=False).ok
 
 
 def _shared_prefix_pair(cert):
-    """Gap lengths n_small < n_big whose digit strings share n_small's
-    whole string as a prefix, so both derivations pass one step."""
+    """Gap lengths n_small < n_big, n_small's digit string at least three
+    digits long and a prefix of n_big's, so both derivations pass its
+    last step."""
     scheme = cert.family.scheme()
     digits = {n: encode_greedy(scheme, n - len(cert.y)).digits
               for n in range(cert.threshold, cert.threshold + 60)}
     for small, big in itertools.combinations(sorted(digits), 2):
         if len(digits[small]) >= 3 and digits[big][:len(digits[small])] == digits[small]:
-            return small, big, len(digits[small])
+            return small, big
     raise AssertionError("no shared prefix")
 
 
 @pytest.mark.parametrize("part", ["element", "seed"])
 @pytest.mark.parametrize("order", ["small first", "big first"])
 def test_replay_rechecks_a_changed_step_at_a_shared_prefix(monkeypatch, order, part):
-    # one derivation returns a broken copy of the step at a digit prefix
-    # that another derivation shares: an element that is no image of the
-    # one before, or a seed that breaks the prefix invariant; the verdict of
-    # the intact step must not be reused for it, in either order
+    # a broken step at the digit prefix that two gap lengths share: an
+    # element that is no image of the one before, or one that no longer
+    # holds the seed after the word; the walk derives and checks the step
+    # once for both, and the first of them in ns order is reported, in
+    # either order, as replaying each n alone reports it
     fib = random_fibonacci()
     cert = certify(fib, FIB, "ab")
-    small, big, depth = _shared_prefix_pair(cert)
-    broken_n = big if order == "small first" else small
-    real = semimixing._derive_witness
+    small, big = _shared_prefix_pair(cert)
+    level = derive_witness(cert, small)[2][-1].level
     flip = {"a": "b", "b": "a"}
 
-    def broken_at_prefix(c, n, digits, memo=None):
-        u, s, steps = real(c, n, digits, memo)
-        if n == broken_n:
-            step = steps[depth - 1]
-            if part == "element":
-                element = step.element[:-1] + flip[step.element[-1]]
-                assert element.startswith(step.word + step.seed)
-                step = replace(step, element=element)
-            else:
-                step = replace(step, seed=flip[step.seed[0]] + step.seed[1:])
-            steps = [*steps[:depth - 1], step, *steps[depth:]]
-        return u, s, steps
+    def broken(step):
+        i = len(step.element) - 1 if part == "element" else len(step.word)
+        element = step.element[:i] + flip[step.element[i]] + step.element[i + 1:]
+        assert element.startswith(step.word + step.seed) == (part == "element")
+        return replace(step, element=element)
 
-    monkeypatch.setattr(semimixing, "_derive_witness", broken_at_prefix)
+    _rig_steps(monkeypatch, cert, {_digits(cert, small): broken})
     ns = [small, big] if order == "small first" else [big, small]
-    outcome = verify_certificate(cert, ns, deep=part == "element")
-    digits = semimixing._gap_digits(cert, small, FIB.scheme())
-    level = real(cert, small, digits)[2][-1].level
-    assert outcome.counterexample == (broken_n, {
+    deep = part == "element"
+    outcome = verify_certificate(cert, ns, deep=deep)
+    assert outcome.counterexample == (ns[0], {
         "element": "final element is not an inflation word of a",
         "seed": f"prefix invariant broken at level {level}"}[part])
-    assert outcome.checked == 1
+    assert outcome.checked == 0
+    assert (outcome.ok, outcome.checked, outcome.counterexample) == \
+        replay_each(cert, ns, deep)
 
 
 _REPLAY_FAMILIES = (FIB, TRIB, *(Family("metallic", (m,)) for m in (1, 2, 3)))
@@ -540,15 +588,18 @@ def test_verify_certificate_matches_replay_each(case):
         replay_each(cert, ns, deep)
 
 
-def _bookkeeping_off(u, s, steps):
-    first = steps[0]
-    return u, s, [replace(first, word=first.word + first.seed, seed=""),
-                  *steps[1:]]
+def _bookkeeping_off(step):
+    # one a of the word becomes bb: the word grows by one letter, but its
+    # image (a -> ab, b -> a) keeps its length, so the next step's word has
+    # the right length
+    word = step.word.replace("a", "bb", 1)
+    return replace(step, word=word, element=word + step.element[len(step.word):])
 
 
 # on the fibonacci certificate for "ab" (threshold 2, base table {1: (a, ab,
 # aab)}, n = 7 derived in four steps): a corrupted field or table fails the
-# preamble (n = -1), and a rigged derivation of n = 7 fails that n
+# preamble (n = -1), and a rigged step on the path of n = 7, at the prefix of
+# its first `depth` digits, fails n = 7, which is checked first
 _REASONS = [
     pytest.param("embedding split does not reassemble w_prime",
                  lambda c: replace(c, x=c.x + "a"), None, id="embedding"),
@@ -587,13 +638,12 @@ _REASONS = [
                  lambda c: corrupt_step(c, "ab", 1, "baa"), None,
                  id="step follower"),
     pytest.param("witness has length 8, expected 7", None,
-                 lambda u, s, steps: (u + "a", s, steps), id="witness length"),
+                 (4, lambda step: replace(step, word=step.word + "a")),
+                 id="witness length"),
     pytest.param("witness seed 'aa' is not in the seed set", None,
-                 lambda u, s, steps: (u, "aa", steps), id="witness seed"),
-    pytest.param("digit bookkeeping broken at level 2", None, _bookkeeping_off,
-                 id="bookkeeping"),
-    pytest.param("derivation consumed the wrong digit string", None,
-                 lambda u, s, steps: (u, s, steps[:-1]), id="digit string"),
+                 (4, lambda step: replace(step, seed="aa")), id="witness seed"),
+    pytest.param("digit bookkeeping broken at level 4", None,
+                 (3, _bookkeeping_off), id="bookkeeping"),
 ]
 
 
@@ -603,17 +653,13 @@ def test_every_counterexample_reason(monkeypatch, reason, corrupt, rig):
     # each decided as the oracle that replays one n at a time decides it
     cert = certify(random_fibonacci(), FIB, "ab")
     assert (cert.threshold, cert.base_table) == (2, {1: ("a", "ab", "aab")})
+    ns = range(2, 12)
     if corrupt is not None:
         cert = corrupt(cert)
     if rig is not None:
-        real = semimixing._derive_witness
-
-        def rigged(c, n, digits, memo=None):
-            got = real(c, n, digits, memo)
-            return rig(*got) if n == 7 else got
-
-        monkeypatch.setattr(semimixing, "_derive_witness", rigged)
-    ns = range(2, 12)
+        depth, change = rig
+        _rig_steps(monkeypatch, cert, {_digits(cert, 7)[:depth]: change})
+        ns = [7, *ns]
     outcome = verify_certificate(cert, ns)
     assert outcome.counterexample == (-1 if rig is None else 7, reason)
     assert (outcome.ok, outcome.checked, outcome.counterexample) == \

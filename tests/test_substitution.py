@@ -286,10 +286,40 @@ def test_dag_tables_shared_across_threads():
 
     orders = [range(200), range(199, -1, -1), range(0, 200, 7),
               [150, 3, 80, 14, 199, 0]]
-    jobs = [(i, order) for i in range(len(subs)) for order in orders]
-    serial = [answers(build_dag(subs[i], 199), order) for i, order in jobs]
+    pairs = [(i, order) for i in range(len(subs)) for order in orders]
+    serial = [answers(build_dag(subs[i], 199), order) for i, order in pairs]
     dags = [build_dag(sub, 199) for sub in subs]
-    n_threads = 8
+    _assert_threads_agree(
+        [lambda i=i, order=order: answers(dags[i], order) for i, order in pairs],
+        serial)
+
+
+def test_first_images_shared_across_threads():
+    # threads that build a substitution's first_images table at once, by
+    # spelling, by image matching and by reading it, get the answers a
+    # serial run on a fresh copy gives
+    makers = [random_fibonacci, random_tribonacci, lambda: random_metallic(3),
+              lambda: make_substitution({"a": ("ab", "a"), "b": ("ba", "b")})]
+
+    def answers(sub):
+        words = [spell_first(sub, a, level, {})
+                 for a in sub.alphabet for level in range(8)]
+        return (dict(sub.first_images), words,
+                [in_image(sub, w, v) for w in words[:6] for v in words[:12]])
+
+    serial = [answers(make()) for make in makers for _ in range(3)]
+    subs = [make() for make in makers for _ in range(3)]
+    # each substitution is eight jobs in a row, so that the threads, each
+    # starting one job further on, reach it fresh at about the same time
+    _assert_threads_agree(
+        [lambda sub=sub: answers(sub) for sub in subs for _ in range(8)],
+        [got for got in serial for _ in range(8)])
+
+
+def _assert_threads_agree(jobs, serial, n_threads=8):
+    """Run every job on each of n_threads threads at once, thread k starting
+    at job k, with thread switches forced often; every thread's answers must
+    be the serial ones."""
     start = threading.Barrier(n_threads, timeout=60)
     outcomes = [None] * n_threads
     errors = []
@@ -297,7 +327,7 @@ def test_dag_tables_shared_across_threads():
     def work(k):
         try:
             start.wait()
-            outcomes[k] = [answers(dags[i], order) for i, order in jobs[k:] + jobs[:k]]
+            outcomes[k] = [job() for job in jobs[k:] + jobs[:k]]
         except Exception as exc:  # reported below, on the main thread
             errors.append(exc)
 
