@@ -69,6 +69,15 @@ def _substitution_from_args(args):
     return _family_from_args(args).substitution()
 
 
+def _check_letters(sub, word, flag):
+    """Raise ValueError naming the first letter of `word` not in `sub`'s
+    alphabet; the library itself raises a bare KeyError for it."""
+    for x in word:
+        if x not in sub.rule:
+            raise ValueError(f"{flag} has the letter {x!r}, which is not in "
+                             f"the alphabet {''.join(sub.alphabet)}")
+
+
 def _emit(lines):
     print("\n".join([HEADER] + list(lines)))
 
@@ -124,6 +133,8 @@ def _cmd_seq_term(args) -> int:
 
 def _cmd_seq_complete(args) -> int:
     if args.coeffs:
+        if not args.init:
+            raise ValueError("--coeffs needs --init")
         coeffs = tuple(int(x) for x in args.coeffs.split(","))
         init = tuple(int(x) for x in args.init.split(","))
         rec = LinearRecurrence(len(coeffs), coeffs, init, "custom")
@@ -152,6 +163,7 @@ def _cmd_subst_apply(args) -> int:
     from .substitution import apply
 
     sub = _substitution_from_args(args)
+    _check_letters(sub, args.word, "word")
     words = sorted(apply(sub, args.word, guard=args.guard))
     _emit([f"word: {args.word}", f"count: {len(words)}"] + words)
     return 0
@@ -161,6 +173,7 @@ def _cmd_subst_inflate(args) -> int:
     from .substitution import inflation_words
 
     sub = _substitution_from_args(args)
+    _check_letters(sub, args.letter, "--letter")
     words = sorted(inflation_words(sub, args.letter, args.level, guard=args.guard))
     _emit([
         f"letter: {args.letter}",

@@ -125,6 +125,22 @@ def _leaf_profiles(sub, text, ones, full, single):
     return out
 
 
+def _succ(spans, bits):
+    """The ends q + L of the elements (L, starts) that start at a bit q."""
+    out = 0
+    for length, starts in spans:
+        out |= (bits & starts) << length
+    return out
+
+
+def _pred(spans, bits):
+    """The starts q of the elements (L, starts) that end at a bit q + L."""
+    out = 0
+    for length, starts in spans:
+        out |= starts & (bits >> length)
+    return out
+
+
 def _compose_alternative(masks, image, prev):
     """Profile of one realisation (a concatenation of level-(n-1) nodes).
 
@@ -149,9 +165,7 @@ def _compose_alternative(masks, image, prev):
         hit = reach & ps_c
         if hit:
             occurs |= (hit + data) & guards
-        cont = 0
-        for length, starts in spans_c:
-            cont |= (reach & starts) << length
+        cont = _succ(spans_c, reach)
         done = cont & full
         if done:
             occurs |= done << 1
@@ -164,10 +178,7 @@ def _compose_alternative(masks, image, prev):
     back = full
     for c in reversed(image):
         _, _, ps_c, spans_c = prev[c]
-        pre = 0
-        for length, starts in spans_c:
-            pre |= starts & (back >> length)
-        back = ps_c | pre
+        back = ps_c | _pred(spans_c, back)
     ps = back
 
     # full-span composition: an element of length L1 starting at i followed
@@ -294,6 +305,9 @@ def _pattern_search(sub, patterns, stop_letters=None, min_level=0):
         raise ValueError("pattern must be non-empty")
     if stop_letters is None:
         stop_letters = sub.alphabet
+    foreign = set(stop_letters) - set(sub.alphabet)
+    if foreign:
+        raise ValueError(f"stop letter {min(foreign)!r} is not in the alphabet")
     lane_start = {}     # guard bit position + 1 -> the lane's lowest bit
     ones = full = single = offset = 0
     for pattern in patterns:
@@ -375,56 +389,37 @@ def _pattern_search(sub, patterns, stop_letters=None, min_level=0):
 # recorded profile fact, by replaying the same transitions
 
 
-def _ends(spans, q):
-    """Bitset of the end positions j with pattern[q:j] a full element."""
-    out = 0
-    for length, starts in spans:
-        if starts >> q & 1:
-            out |= 1 << (q + length)
-    return out
-
-
-def _advance(reach, profile, limit):
-    """Progress positions <= limit after one more child with `profile`, from
-    the positions `reach` before it, each mapped to how it was first
-    reached: None for progress 0 and for a restart (a suffix of the child
-    matches a prefix of the pattern), or the progress q that the child
-    continues (it spans pattern[q:end]).  The dict order is the order of
-    first reaching, and a later way of reaching a position never replaces
-    the first; that fixes the predecessor that backtracking takes."""
-    upto = (2 << limit) - 1
-    _, sp_c, _, spans_c = profile
-    cur = {0: None}
-    m = sp_c & upto
-    while m:
-        low = m & -m
-        m ^= low
-        cur[low.bit_length() - 1] = None
-    for q in reach:
-        m = _ends(spans_c, q) & upto
-        while m:
-            low = m & -m
-            m ^= low
-            cur.setdefault(low.bit_length() - 1, q)
-    return cur
+def _reaches(image, prev, upto):
+    """reach[k]: the progresses q (bits of `upto`) at which the children
+    before child k end with pattern[:q]: 0, the restarts (sp bits) of child
+    k - 1 and the ends of its elements that start at a bit of reach[k-1]."""
+    reach = [1]
+    for c in image:
+        _, sp_c, _, spans_c = prev[c]
+        reach.append((1 | sp_c | _succ(spans_c, reach[-1])) & upto)
+    return reach
 
 
 class _Extractor:
     """Rebuild concrete inflation words realising the facts that a profile
     search recorded for one pattern.
 
-    Two walks over the children of a realisation do all the work:
+    The walks over the children of a realisation run on bitsets of
+    progresses, through the kernel's own transitions `_succ` and `_pred`:
 
-      * `_plan` walks them forward from progress i, depth first over their
-        element ends.  For `exact` each child spans its piece of
-        pattern[i:j] and the last one ends at j; for `head` the walk may
-        also stop at a child whose ps bit holds the rest of the pattern.
-      * `_back` walks a progress chain that `_advance` recorded, backwards
-        from progress q: a continuation gives an `exact` chunk, and a
-        restart gives a `tail` chunk and ends the walk.
+      * `_plan` finds the least plan from progress i.  A backward pass marks
+        the progresses before each child from which a plan fits, and each
+        child takes the least element end still marked.  For `exact` each
+        child spans its piece of pattern[i:j] and the last one ends at j;
+        a `head` plan ends at a child whose ps bit holds the rest of the
+        pattern.
+      * `_back` walks a chain of `_reaches` progresses backwards from q: a
+        restart gives a `tail` chunk and ends the walk, and a continuation
+        gives an `exact` chunk from the progress that `_first` says
+        reached it first.
 
-    `exact` and `head` use `_plan`; `tail` and the straddle case of
-    `occurrence` use `_back`.  `_spelled` spells every child that no walk
+    `exact` and `head` use `_plan`, `tail` and the straddle case of
+    `occurrence` use `_back`, and `_spelled` spells every child that no walk
     claimed with the first image everywhere.
 
     `exact`, `tail` and `head` chunks are memoised in `memo`, keyed by the
@@ -442,15 +437,15 @@ class _Extractor:
     positions <= t, and `head` only ps and span bits at positions >= p.
     The search order that picks the first realisation (images in rule
     order, children left to right, a child's ps bit before its spans,
-    element ends ascending, the first way `_advance` reached a progress)
-    is fixed by those same bits, and so are the lower-level chunks an answer
-    joins.  Each answer is therefore a function of its key alone: `exact`
-    gives the same element for its slice at any offset of any pattern,
-    `tail` for every pattern with that prefix, and `head` for every pattern
-    with that suffix.  One key thus covers an all-'?' run wherever it sits,
-    and the pieces w ?^k and ?^k s are shared by all gap patterns w ?^n s
-    with the same w or s.  The pattern-independent spellings live in the
-    same dict, keyed by (letter, level).
+    element ends ascending, the first way a progress was reached) is fixed
+    by those same bits, and so are the lower-level chunks an answer joins.
+    Each answer is therefore a function of its key alone: `exact` gives the
+    same element for its slice at any offset of any pattern, `tail` for
+    every pattern with that prefix, and `head` for every pattern with that
+    suffix.  One key thus covers an all-'?' run wherever it sits, and the
+    pieces w ?^k and ?^k s are shared by all gap patterns w ?^n s with the
+    same w or s.  The pattern-independent spellings live in the same dict,
+    keyed by (letter, level).
 
     A memo may therefore serve many patterns, but only of one substitution,
     and it belongs to one call of a public operation (`pattern_witness`,
@@ -464,8 +459,7 @@ class _Extractor:
     and one lookup, and allocates no frame.  `occurrence` descends its
     chain of occurring children in a loop.  The walks are methods, not
     closures, so an extraction leaves no reference cycle behind for the
-    cyclic garbage collector.  The walk order above is unchanged, and so
-    is every witness.
+    cyclic garbage collector.
 
     `history` is the pattern's lane of a profile search, level by level:
     the list a one-lane search keeps, or a `_LaneHistory` projecting the
@@ -476,11 +470,8 @@ class _Extractor:
     """
 
     def __init__(self, sub, pattern, history, memo):
-        self.sub = sub
-        self.pattern = pattern
-        self.size = len(pattern)
-        self.history = history
-        self.memo = memo
+        self.sub, self.pattern = sub, pattern
+        self.history, self.memo = history, memo
 
     def _piece(self, key, q):
         """The memoised element for the chunk `key` (never empty), or (key,
@@ -536,12 +527,10 @@ class _Extractor:
         prev = self.history[level - 1]
         if mode == "tail":
             for image in self.sub.rule[letter]:
-                steps = [{0: None}]
-                for c in image:
-                    steps.append(_advance(steps[-1], prev[c], j))
-                if j in steps[-1]:
+                reach = _reaches(image, prev, (2 << j) - 1)
+                if reach[-1] >> j & 1:
                     parts = [None] * len(image)
-                    self._back(image, steps, len(image), j, level, parts)
+                    self._back(image, prev, reach, len(image), j, level, parts)
                     return self._spelled(image, level, parts)
             raise AssertionError("no realisation for recorded suffix-prefix")
         pattern = self.pattern
@@ -558,50 +547,62 @@ class _Extractor:
         raise AssertionError("no realisation for recorded span or prefix")
 
     def _plan(self, image, i, j, prev, heads):
-        """The first (q, end) per leading child of `image`, depth first over
-        element ends ascending, with each child spanning pattern[q:end] and
-        the children together pattern[i:j].  Without `heads` every child
-        takes part; with it the plan may stop at j, or at a child with an
-        element starting with pattern[q:] (end None).  None if none fits."""
-        # element ends past j never come back
-        return self._walk(image, 0, i, j, prev, heads, set(), (2 << j) - 1)
-
-    def _walk(self, image, idx, q, j, prev, heads, dead, upto):
-        """`_plan` from child idx at progress q; `dead` holds the (child,
-        progress) pairs from which no plan fits."""
-        if q == j and (heads or idx == len(image)):
-            return []
-        if idx == len(image) or (idx, q) in dead:
+        """The first (q, end) per leading child of `image`, over element
+        ends ascending, with each child spanning pattern[q:end] and the
+        children together pattern[i:j].  Without `heads` every child takes
+        part; with it j is the pattern's end, and the plan stops at a child
+        with an element starting with pattern[q:] (end None).  It never
+        stops at j: an element ending there starts at a ps bit.  None if
+        none fits."""
+        # alive[k]: the progresses before child k from which a plan fits
+        alive = [1 << j]
+        for c in reversed(image):
+            _, _, ps_c, spans_c = prev[c]
+            fits = _pred(spans_c, alive[0])
+            alive.insert(0, fits | ps_c if heads else fits)
+        if not alive[0] >> i & 1:
             return None
-        _, _, ps_c, spans_c = prev[image[idx]]
-        if heads and ps_c >> q & 1:
-            return [(q, None)]
-        m = _ends(spans_c, q) & upto
-        while m:
-            low = m & -m
-            m ^= low
-            end = low.bit_length() - 1
-            rest = self._walk(image, idx + 1, end, j, prev, heads, dead, upto)
-            if rest is not None:
-                return [(q, end), *rest]
-        dead.add((idx, q))
-        return None
+        plan, q = [], i
+        for k, c in enumerate(image):
+            _, _, ps_c, spans_c = prev[c]
+            if heads and ps_c >> q & 1:
+                return plan + [(q, None)]
+            ends = _succ(spans_c, 1 << q) & alive[k + 1]
+            end = (ends & -ends).bit_length() - 1
+            plan.append((q, end))
+            q = end
+        return plan
 
-    def _back(self, image, steps, idx, q, level, parts):
+    def _first(self, image, prev, reach, idx, mask):
+        """The member of `mask` (within reach[idx]) reached first: 0, then
+        child idx - 1's restarts, then its continuations by the rank one
+        child back of the progress each continues first; ties ascending."""
+        if mask & 1:
+            return 0
+        _, sp_c, _, spans_c = prev[image[idx - 1]]
+        got = mask & sp_c
+        if not got:
+            q = self._first(image, prev, reach, idx - 1,
+                            _pred(spans_c, mask) & reach[idx - 1])
+            got = _succ(spans_c, 1 << q) & mask
+        return (got & -got).bit_length() - 1
+
+    def _back(self, image, prev, reach, idx, q, level, parts):
         """Backtrack the progress chain that reaches q > 0 before child idx,
         putting the chunk of each child it passes into `parts`; return the
         child where the match begins and the progress it restarts with
         there.  The chain never continues from progress 0: a span from 0
-        that ends inside the pattern ends at an sp bit, which `_advance`
-        records first, as a restart."""
+        that ends inside the pattern ends at an sp bit, so it is a restart."""
         pattern = self.pattern
         while q:
             idx -= 1
-            p = steps[idx + 1][q]
-            if p is None:       # a restart: the match begins in this child
+            _, sp_c, _, spans_c = prev[image[idx]]
+            if sp_c >> q & 1:   # a restart: the match begins in this child
                 parts[idx] = self._piece(
                     ("tail", pattern[:q], image[idx], level - 1), 0)
                 return idx, q
+            p = self._first(image, prev, reach, idx,
+                            _pred(spans_c, 1 << q) & reach[idx])
             parts[idx] = self._piece(
                 ("exact", pattern[p:q], image[idx], level - 1), p)
             q = p
@@ -652,28 +653,25 @@ class _Extractor:
         scanning children left to right, by a prefix of the child (progress
         q in its ps); None if no match straddles the children.  A child
         that spans the rest of the pattern exactly also holds q in its ps,
-        and q is never 0: ps bit 0 would be an occurrence in the child."""
-        pattern, size, memo = self.pattern, self.size, self.memo
-        steps = [{0: None}]
+        so progress len(pattern) is never needed, and q is never 0: ps bit
+        0 would be an occurrence in the child."""
+        pattern, memo = self.pattern, self.memo
+        reach = _reaches(image, prev, (1 << len(pattern)) - 1)
         for idx, c in enumerate(image):
-            ps_c = prev[c][2]
-            key = None
-            for q in steps[idx]:
-                if q < size and ps_c >> q & 1:
-                    key = ("head", pattern[q:], c, level - 1)
-                    break
-            if key is not None:
+            hit = reach[idx] & prev[c][2]
+            if hit:
+                q = self._first(image, prev, reach, idx, hit)
                 parts = [None] * len(image)
-                parts[idx] = self._piece(key, q)
-                begin, restart = self._back(image, steps, idx, q, level, parts)
+                parts[idx] = self._piece(
+                    ("head", pattern[q:], c, level - 1), q)
+                begin, restart = self._back(image, prev, reach, idx, q, level,
+                                            parts)
                 parts = self._spelled(image, level, parts)
                 self._build([part for part in parts if type(part) is tuple])
                 parts = [memo[part[0]] if type(part) is tuple else part
                          for part in parts]
                 start = sum(map(len, parts[:begin + 1])) - restart
                 return "".join(parts), start
-            # progress past child idx is needed only if nothing completed
-            steps.append(_advance(steps[idx], prev[c], size))
         return None
 
 

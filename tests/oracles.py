@@ -22,6 +22,13 @@ a time, as the reference for `spell_first`.
 
 `replay_each` replays a certificate one gap length at a time, sharing
 nothing between gap lengths, as the reference for `verify_certificate`.
+
+`first_reached`, `back_chain` and `walk_plan` are the extractor's walks
+over the children of a realisation written with dicts and recursion, as
+the references for its bitset walks: `first_reached` records, per child,
+each reachable progress and the progress that first reached it, in the
+order of first reaching; `back_chain` follows those records backwards;
+`walk_plan` searches depth first for the least plan.
 """
 
 import functools
@@ -328,3 +335,91 @@ def replay_each(cert, ns, deep):
             return False, checked, (n, f"context {context!r} is not legal")
         checked += 1
     return True, checked, None
+
+
+def _ends(spans, q):
+    """Bitset of the end positions j with pattern[q:j] a full element."""
+    out = 0
+    for length, starts in spans:
+        if starts >> q & 1:
+            out |= 1 << (q + length)
+    return out
+
+
+def _advance(reach, profile, limit):
+    """Progress positions <= limit after one more child with `profile`, from
+    the positions `reach` before it, each mapped to how it was first
+    reached: None for progress 0 and for a restart (a suffix of the child
+    matches a prefix of the pattern), or the progress q that the child
+    continues (it spans pattern[q:end]).  The dict order is the order of
+    first reaching, and a later way of reaching a position never replaces
+    the first."""
+    upto = (2 << limit) - 1
+    _, sp_c, _, spans_c = profile
+    cur = {0: None}
+    m = sp_c & upto
+    while m:
+        low = m & -m
+        m ^= low
+        cur[low.bit_length() - 1] = None
+    for q in reach:
+        m = _ends(spans_c, q) & upto
+        while m:
+            low = m & -m
+            m ^= low
+            cur.setdefault(low.bit_length() - 1, q)
+    return cur
+
+
+def first_reached(image, prev, limit):
+    """steps[k]: the `_advance` dict of the progresses <= limit before child
+    k of `image`, at the level whose profiles are `prev`."""
+    steps = [{0: None}]
+    for c in image:
+        steps.append(_advance(steps[-1], prev[c], limit))
+    return steps
+
+
+def back_chain(steps, idx, q):
+    """The (child, predecessor) pairs that backtracking from progress q > 0
+    before child idx passes, right to left, through the records of
+    `first_reached`; the last pair is the restart (predecessor None)."""
+    chain = []
+    while q:
+        idx -= 1
+        q = steps[idx + 1][q]
+        chain.append((idx, q))
+        if q is None:
+            return chain
+    raise AssertionError("progress chain reached 0 without a restart")
+
+
+def walk_plan(image, i, j, prev, heads):
+    """The first (q, end) per leading child of `image`, depth first over
+    element ends ascending, with each child spanning pattern[q:end] and the
+    children together pattern[i:j].  Without `heads` every child takes
+    part; with it the plan may stop at j, or at a child with an element
+    starting with pattern[q:] (end None).  None if none fits."""
+    upto = (2 << j) - 1     # element ends past j never come back
+    dead = set()            # (child, progress) pairs from which none fits
+
+    def walk(idx, q):
+        if q == j and (heads or idx == len(image)):
+            return []
+        if idx == len(image) or (idx, q) in dead:
+            return None
+        _, _, ps_c, spans_c = prev[image[idx]]
+        if heads and ps_c >> q & 1:
+            return [(q, None)]
+        m = _ends(spans_c, q) & upto
+        while m:
+            low = m & -m
+            m ^= low
+            end = low.bit_length() - 1
+            rest = walk(idx + 1, end)
+            if rest is not None:
+                return [(q, end), *rest]
+        dead.add((idx, q))
+        return None
+
+    return walk(0, i)

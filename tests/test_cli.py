@@ -391,7 +391,9 @@ def test_extraction_at_deep_levels(tmp_path):
     # witness extraction keeps the chunks it still has to build on a list
     # and descends occurring children in a loop, so b^n, which first occurs
     # at level n of a, gets its witness under the default recursion limit,
-    # and so does b at level 1000, a chain of 1000 occurring children
+    # and so does b at level 1000, a chain of 1000 occurring children.
+    # b^4000, just below the level cap, takes a fraction of a second, since
+    # the extractor walks each level's realisation on bitsets
     code = "\n".join([
         "import sys",
         "from zeckmix.language import is_legal, pattern_witness",
@@ -402,12 +404,15 @@ def test_extraction_at_deep_levels(tmp_path):
         "print(sys.getrecursionlimit(), verdict.legal, verdict.witness[0])",
         "print(hit[0] == 'b' * 300)",
         "print(pattern_witness(mixed, 'b', min_level=1000))",
+        "deep = is_legal(mixed, 'b' * 4000).witness",
+        "print(deep[:2], deep[2] == 'a' + 'b' * 4000)",
     ])
     result = subprocess.run([sys.executable, "-c", code], env=src_env(),
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0 and "Traceback" not in result.stderr, result.stderr
     assert result.stdout.splitlines() == [
-        "1000 True 1000", "True", "('b', 1000, 'a', 'ab', 1)"]
+        "1000 True 1000", "True", "('b', 1000, 'a', 'ab', 1)",
+        "(4000, 'a') True"]
     rules = tmp_path / "rules.txt"
     rules.write_text("a -> {a, ab}\nb -> {b}\n", encoding="utf-8")
 
@@ -456,6 +461,20 @@ def test_exit_code_2_on_bad_parameters():
     code, _, err = run_cli(["zeck", "encode", "--family", "metallic", "7"])
     assert code == 2
     assert "reason: invalid-input" in err
+    # each of these once escaped as a traceback with exit status 1
+    for argv, problem in [
+        (["seq", "complete", "--coeffs", "1,1"], "--init"),
+        (["subst", "apply", "--family", "fibonacci", "az"], "'z'"),
+        (["subst", "inflate", "--family", "fibonacci", "--letter", "z",
+          "--level", "2"], "'z'"),
+        (["subst", "inflate", "--family", "fibonacci", "--letter", "z",
+          "--level", "0"], "'z'"),
+    ]:
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == "", argv
+        lines = err.splitlines()
+        assert lines[0].startswith("error: ") and problem in lines[0], argv
+        assert "reason: invalid-input" in lines, argv
 
 
 @pytest.mark.parametrize("prefix, replacement, field", [

@@ -11,7 +11,9 @@ from oracles import is_legal_bruteforce
 
 from zeckmix.errors import GuardExceededError
 from zeckmix.language import (
+    _Extractor,
     _pattern_search,
+    _reaches,
     _shared_extraction,
     is_legal,
     is_subword,
@@ -133,6 +135,13 @@ def test_language_of_length_examples():
     assert language_of_length(fib, 1) == ("a", "b")
     assert language_of_length(fib, 2) == ("aa", "ab", "ba", "bb")
     assert language_of_length(random_tribonacci(), 1) == ("a", "b", "c")
+    # the guard bounds the words found, and a language of exactly the
+    # guard's size still comes back whole
+    words = language_of_length(fib, 12)
+    assert len(words) == 851
+    assert language_of_length(fib, 12, guard=851) == words
+    with pytest.raises(GuardExceededError, match="850-word guard"):
+        language_of_length(fib, 12, guard=850)
 
 
 @pytest.mark.parametrize("sub,levels", [
@@ -233,6 +242,15 @@ def test_pattern_witness_min_level_and_stop_letters():
         hit = pattern_witness(swap, "a", stop_letters=("a",),
                               min_level=min_level)
         assert hit is not None and hit[1] == min_level + min_level % 2
+    # no stop letter: nothing can fire, so the search runs to its repeat;
+    # a letter outside the alphabet is named, not a bare KeyError
+    assert pattern_witness(fib, "a", stop_letters=()) is None
+    assert pattern_witness(fib, "?", stop_letters="", min_level=3) is None
+    for stop in (("z",), ("a", "z"), "bz"):
+        with pytest.raises(ValueError, match="stop letter 'z'"):
+            pattern_witness(fib, "a", stop_letters=stop)
+    with pytest.raises(ValueError, match="stop letter 'z'"):
+        _pattern_search(fib, ["a", "bb"], ("z",))
 
 
 small_rules = st.sampled_from(["ab", "abc"]).flatmap(
@@ -471,6 +489,66 @@ def test_profiles_hold_the_facts_extraction_relies_on(rule, data):
                         assert occurs, where                            # L2'
                     elif starts & 1:
                         assert sp >> length & 1, where                  # L3
+
+
+@given(rule=mixed_rules, data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_extraction_walks_match_reference_walks(rule, data):
+    # the extractor's bitset walks against the dict-and-recursion references
+    # of tests/oracles.py, on every image at every level up to each lane's
+    # stop: the progresses reached before each child under every limit, the
+    # order of first reaching that `_first` reads off them, every back-walk
+    # from a reachable progress inside the pattern, and every plan
+    from oracles import back_chain, first_reached, walk_plan
+
+    sub = make_substitution(rule)
+    letters = "".join(sub.alphabet)
+    patterns = data.draw(st.lists(
+        st.text(alphabet=letters + "?", min_size=1, max_size=6),
+        min_size=1, max_size=3))
+    stop = data.draw(st.one_of(st.none(), st.lists(
+        st.sampled_from(letters), min_size=1, unique=True)))
+    lanes = _pattern_search(sub, patterns, stop, data.draw(st.integers(0, 3)))
+    for pattern, (_, last, _, history) in zip(patterns, lanes):
+        size = len(pattern)
+        extractor = _Extractor(sub, pattern, history, {})
+        images = {image for images in sub.rule.values() for image in images}
+        for level, image in itertools.product(range(1, last + 1), images):
+            prev, down = history[level - 1], level - 1
+            for limit in range(size + 1):
+                steps = first_reached(image, prev, limit)
+                reach = _reaches(image, prev, (2 << limit) - 1)
+                assert reach == [sum(1 << q for q in step) for step in steps]
+                for k, step in enumerate(steps):
+                    order = list(step)
+                    masks = [(reach[k], order[0])] + [
+                        (1 << x | 1 << y, x)
+                        for x, y in itertools.combinations(order, 2)]
+                    if k < len(image):
+                        hit = reach[k] & prev[image[k]][2]
+                        if hit:
+                            masks.append((hit, next(
+                                q for q in order if hit >> q & 1)))
+                    for mask, first in masks:
+                        assert extractor._first(image, prev, reach, k,
+                                                mask) == first
+                    for q in order:
+                        if not 0 < q < size:
+                            continue
+                        parts = [None] * len(image)
+                        got = extractor._back(image, prev, reach, k, q,
+                                              level, parts)
+                        expect, end = [None] * len(image), q
+                        for child, p in back_chain(steps, k, q):
+                            key = ("tail", pattern[:end]) if p is None else (
+                                "exact", pattern[p:end])
+                            expect[child] = (*key, image[child], down), p or 0
+                            restart, end = end, p
+                        assert parts == expect and got == (child, restart)
+            for i, j in itertools.combinations(range(size + 1), 2):
+                for heads in (False, True) if j == size else (False,):
+                    assert extractor._plan(image, i, j, prev, heads) == \
+                        walk_plan(image, i, j, prev, heads), (i, j, heads)
 
 
 @given(rule=mixed_rules, n=st.integers(min_value=1, max_value=4))
