@@ -140,6 +140,8 @@ def _cmd_seq_complete(args) -> int:
         rec = LinearRecurrence(len(coeffs), coeffs, init, "custom")
         label = f"custom coeffs={args.coeffs} init={args.init}"
     else:
+        if args.init:
+            raise ValueError("--init needs --coeffs")
         scheme = _scheme_from_args(args)
         rec = scheme.recurrence
         label = scheme.descriptor()
@@ -173,6 +175,8 @@ def _cmd_subst_inflate(args) -> int:
     from .substitution import inflation_words
 
     sub = _substitution_from_args(args)
+    if len(args.letter) != 1:
+        raise ValueError(f"--letter must be one letter, not {args.letter!r}")
     _check_letters(sub, args.letter, "--letter")
     words = sorted(inflation_words(sub, args.letter, args.level, guard=args.guard))
     _emit([
@@ -253,6 +257,8 @@ def _cmd_semimix_check(args) -> int:
 def _cmd_semimix_certify(args) -> int:
     from .semimixing import certificate_report, certify, verify_certificate
 
+    if args.verify_range is not None and args.verify_range < 0:
+        raise ValueError("--verify-range must be nonnegative")
     family = _family_from_args(args)
     sub = family.substitution()
     cert = certify(sub, family, args.word)
@@ -276,6 +282,8 @@ def _cmd_semimix_certify(args) -> int:
 def _cmd_semimix_verify(args) -> int:
     from .semimixing import parse_certificate, verify_certificate
 
+    if args.span < 0:
+        raise ValueError("--span must be nonnegative")
     with open(args.cert, encoding="utf-8") as fh:
         cert = parse_certificate(fh.read())
     outcome = verify_certificate(

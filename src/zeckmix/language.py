@@ -19,8 +19,10 @@ periodic and `occurs` can never fire later.  Straddle matches across the
 concatenation inside a realisation propagate a set of reachable match
 positions left to right.  Every field is a bitset over positions of u, and
 `full_spans` holds one start bitset per distinct element length of the
-node, so composing a child costs a shift and an AND per length.  A
-constant-length rule has one length per node, so its state is linear in |u|.
+node, so composing a child costs a shift and an AND per length; that
+composition is `substitution._next_spans`, the one `InflationDag.contains`
+walks.  A constant-length rule has one length per node, so its state is
+linear in |u|.
 
 One search decides a whole batch of patterns, in the bit-parallel manner
 of shift-and string matching (Baeza-Yates and Gonnet, CACM 1992).  Each
@@ -59,6 +61,7 @@ from .errors import GuardExceededError
 from .substitution import (
     DEFAULT_SET_GUARD,
     RandomSubstitution,
+    _next_spans,
     spell_first,
 )
 
@@ -142,10 +145,8 @@ def _pred(spans, bits):
 
 
 def _compose_alternative(masks, image, prev):
-    """Profile of one realisation (a concatenation of level-(n-1) nodes).
-
-    Its full spans come back as a dict from element length to start bitset.
-    """
+    """(occurs, sp, ps) of one realisation, a concatenation of level-(n-1)
+    nodes; its full spans are composed by `substitution._next_spans`."""
     full, sp_mask, data, guards = masks
     occurs = 0
 
@@ -179,38 +180,20 @@ def _compose_alternative(masks, image, prev):
     for c in reversed(image):
         _, _, ps_c, spans_c = prev[c]
         back = ps_c | _pred(spans_c, back)
-    ps = back
-
-    # full-span composition: an element of length L1 starting at i followed
-    # by one of length L2 starting at i + L1 spans pattern[i:i+L1+L2]
-    spans = dict(prev[image[0]][3])
-    for c in image[1:]:
-        if not spans:
-            break
-        nxt_spans = prev[c][3]
-        new = {}
-        for l1, s1 in spans.items():
-            for l2, s2 in nxt_spans:
-                got = s1 & (s2 >> l1)
-                if got:
-                    new[l1 + l2] = new.get(l1 + l2, 0) | got
-        spans = new
-    return occurs, sp, ps, spans
+    return occurs, sp, back
 
 
 def _next_profiles(sub, masks, prev):
+    spans = _next_spans(sub.rule, {a: p[3] for a, p in prev.items()})
     out = {}
-    for a in sub.alphabet:
-        first, *others = sub.rule[a]
-        occurs, sp, ps, spans = _compose_alternative(masks, first, prev)
-        for image in others:
-            o, s, p, f = _compose_alternative(masks, image, prev)
+    for a, images in sub.rule.items():
+        occurs = sp = ps = 0
+        for image in images:
+            o, s, p = _compose_alternative(masks, image, prev)
             occurs |= o
             sp |= s
             ps |= p
-            for length, starts in f.items():
-                spans[length] = spans.get(length, 0) | starts
-        out[a] = (occurs, sp, ps, tuple(sorted(spans.items())))
+        out[a] = (occurs, sp, ps, spans[a])
     return out
 
 
@@ -219,18 +202,20 @@ def _profile_state(profiles):
     return tuple(profiles.values())
 
 
-def _keep(profiles, keep):
-    """The profiles with every bit outside `keep` cleared."""
+def _project(profiles, shift, mask):
+    """The profiles with every bitset read as `bits >> shift & mask`, and
+    the spans whose starts come out empty dropped."""
     return {
-        a: (occ & keep, sp & keep, ps & keep,
-            tuple((length, s & keep) for length, s in spans if s & keep))
+        a: (occ >> shift & mask, sp >> shift & mask, ps >> shift & mask,
+            tuple([(length, kept) for length, s in spans
+                   if (kept := s >> shift & mask)]))
         for a, (occ, sp, ps, spans) in profiles.items()
     }
 
 
 class _LaneHistory(dict):
     """The per-level profiles of one lane of a batched search, each level
-    a `_LaneLevel` made when first read."""
+    projected out of the packed one into a plain dict when first read."""
 
     __slots__ = ("packed", "shift", "mask")
 
@@ -238,39 +223,9 @@ class _LaneHistory(dict):
         self.packed, self.shift, self.mask = packed, shift, mask
 
     def __missing__(self, level):
-        got = self[level] = _LaneLevel(self.packed[level], self.shift,
-                                       self.mask)
+        got = self[level] = _project(self.packed[level], self.shift,
+                                     self.mask)
         return got
-
-
-class _LaneLevel(dict):
-    """One level of a lane: each letter's profile is projected out of the
-    packed level by `(bits >> shift) & mask` when first read.  It compares
-    equal to the dict of every letter's profile."""
-
-    __slots__ = ("packed", "shift", "mask")
-
-    def __init__(self, packed, shift, mask):
-        self.packed, self.shift, self.mask = packed, shift, mask
-
-    def __missing__(self, letter):
-        shift, mask = self.shift, self.mask
-        occ, sp, ps, spans = self.packed[letter]
-        got = self[letter] = (
-            occ >> shift & mask, sp >> shift & mask, ps >> shift & mask,
-            tuple((length, s >> shift & mask) for length, s in spans
-                  if s >> shift & mask))
-        return got
-
-    def state(self):
-        """Every letter's profile, in alphabet order."""
-        return tuple(map(self.__getitem__, self.packed))
-
-    def __eq__(self, other):
-        return dict(zip(self.packed, self.state())) == other
-
-    def __ne__(self, other):
-        return not self == other
 
 
 def _last_level(history, min_level):
@@ -280,7 +235,7 @@ def _last_level(history, min_level):
     first_seen = {}
     level = 0
     while True:
-        start = first_seen.setdefault(history[level].state(), level)
+        start = first_seen.setdefault(_profile_state(history[level]), level)
         if start < level:
             return max(level, min_level + level - 1 - start)
         level += 1
@@ -348,7 +303,7 @@ def _pattern_search(sub, patterns, stop_letters=None, min_level=0):
                 # the lanes that fired are cleared and stay zero, so the
                 # repeat test below watches the searching lanes only
                 masks = tuple(m & ~dead for m in masks)
-                profiles = _keep(profiles, ~dead)
+                profiles = _project(profiles, 0, ~dead)
                 first_seen.setdefault(_profile_state(profiles), level)
         nxt = _next_profiles(sub, masks, profiles)
         if last_level is None:

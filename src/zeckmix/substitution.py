@@ -234,10 +234,11 @@ class InflationDag:
     `letter`; its alternatives are the rule images, each read as a sequence
     of level-(n-1) child nodes.  Lengths and realisation-path counts are
     folded bottom-up without enumeration, up to the level asked for;
-    membership walks up the levels of the word's spans; `spell_any` spells
-    one element by `spell_first`.  The per-level table is the only state,
-    and it only ever stores a value under its key equal to itself, so
-    threads that fill one DAG at once agree.
+    membership walks the word's (length, starts) span bitsets up the levels
+    through `_next_spans`, the composition the legality kernel uses;
+    `spell_any` spells one element by `spell_first`.  The per-level table
+    is the only state, and it only ever stores a value under its key equal
+    to itself, so threads that fill one DAG at once agree.
     """
 
     substitution: RandomSubstitution
@@ -290,18 +291,28 @@ class InflationDag:
     def contains(self, word: str, letter: str, level: int) -> bool:
         """Exact membership of `word` in the node's word set, bottom-up.
 
-        Level l holds each letter's spans (i, j), those with word[i:j] a
-        level-l word of the letter; a span one level up chains, along one
-        of the letter's images, spans of the image's letters end to start.
-        A level's spans are a function of the level below, so the walk
-        answers False once no span is left and skips ahead by whole periods
-        once they repeat, however deep `level` is."""
+        Level l holds each letter's spans as (L, starts) pairs, bit i of
+        starts saying that word[i:i+L] is a level-l word of the letter; the
+        spans one level up are `_next_spans` of them, the composition the
+        legality kernel runs on its match profiles.  The word is a member
+        when the letter has a span of length len(word) at bit 0.  Level 0
+        marks each position with its own letter only, so '?' and letters
+        outside the alphabet match nothing.  A level's spans are a function
+        of the level below, so the walk answers False once no span is left
+        and skips ahead by whole periods once they repeat, however deep
+        `level` is."""
         self._check_level(level)
         rule = self.substitution.rule
         if letter not in rule:
             raise KeyError(letter)
-        spans = {a: frozenset((i, i + 1) for i, c in enumerate(word) if c == a)
-                 for a in rule}
+        if not word:
+            return False
+        spelled = word[::-1]
+        zeros = dict.fromkeys(map(ord, set(word)), "0")
+        spans = {}
+        for a in rule:
+            starts = int(spelled.translate({**zeros, ord(a): "1"}), 2)
+            spans[a] = ((1, starts),) if starts else ()
         history, seen = [], {}
         while len(history) < level:
             vector = tuple(spans.values())
@@ -312,14 +323,8 @@ class InflationDag:
                 spans = history[first + (level - first) % (len(history) - first)]
                 break
             history.append(spans)
-            ends: dict = {}
-            for a, pairs in spans.items():
-                for i, j in pairs:
-                    ends.setdefault((a, i), []).append(j)
-            spans = {a: frozenset().union(*[_chain(spans[image[0]], image, ends)
-                                            for image in images])
-                     for a, images in rule.items()}
-        return (0, len(word)) in spans[letter]
+            spans = _next_spans(rule, spans)
+        return bool(dict(spans[letter]).get(len(word), 0) & 1)
 
 
 def _common_length(values: dict, images) -> int | None:
@@ -333,15 +338,36 @@ def _path_count(values: dict, images) -> int:
     return sum(math.prod([values[c] for c in image]) for image in images)
 
 
-def _chain(reach, image: str, ends: dict) -> set:
-    """The spans (i, k) that split into consecutive spans of the image's
-    letters, given `reach`, the spans of its first letter, and `ends`, the
-    ends of each (letter, start)'s spans."""
+def _chain(image: str, spans_of) -> dict:
+    """{L: starts} for the words u[i:i+L] that split into consecutive
+    elements of the image's letters, one bit i per start, given each
+    letter's (L, starts) elements in `spans_of`: an element of length L1
+    at i followed by one of length L2 at i + L1 spans u[i:i+L1+L2]."""
+    spans = dict(spans_of[image[0]])
     for c in image[1:]:
-        if not reach:
+        if not spans:
             break
-        reach = {(i, k) for i, j in reach for k in ends.get((c, j), ())}
-    return reach
+        new: dict = {}
+        for l1, s1 in spans.items():
+            for l2, s2 in spans_of[c]:
+                got = s1 & (s2 >> l1)
+                if got:
+                    new[l1 + l2] = new.get(l1 + l2, 0) | got
+        spans = new
+    return spans
+
+
+def _next_spans(rule: dict, spans_of) -> dict:
+    """{letter: ((L, starts), ...)} one level up, ascending in L: the
+    `_chain` of each of the letter's images, ORed by length."""
+    out = {}
+    for a, images in rule.items():
+        spans = _chain(images[0], spans_of)
+        for image in images[1:]:
+            for length, starts in _chain(image, spans_of).items():
+                spans[length] = spans.get(length, 0) | starts
+        out[a] = tuple(sorted(spans.items()))
+    return out
 
 
 def build_dag(sub: RandomSubstitution, max_level: int) -> InflationDag:

@@ -457,18 +457,30 @@ def test_exit_code_2_on_illegal_word():
     assert "reason: illegal-word" in err
 
 
-def test_exit_code_2_on_bad_parameters():
+def test_exit_code_2_on_bad_parameters(tmp_path):
     code, _, err = run_cli(["zeck", "encode", "--family", "metallic", "7"])
     assert code == 2
     assert "reason: invalid-input" in err
-    # each of these once escaped as a traceback with exit status 1
+    cert_path = tmp_path / "cert.txt"
+    cert_path.write_text(certificate_report(certify(
+        random_fibonacci(), Family("fibonacci"), "a")) + "\n", encoding="utf-8")
+    # each of these once escaped as a traceback with exit status 1, or
+    # exited 0 having dropped the flag or taken its bad value
     for argv, problem in [
         (["seq", "complete", "--coeffs", "1,1"], "--init"),
+        (["seq", "complete", "--family", "fibonacci", "--init", "5,5"],
+         "--init"),
         (["subst", "apply", "--family", "fibonacci", "az"], "'z'"),
         (["subst", "inflate", "--family", "fibonacci", "--letter", "z",
           "--level", "2"], "'z'"),
         (["subst", "inflate", "--family", "fibonacci", "--letter", "z",
           "--level", "0"], "'z'"),
+        (["subst", "inflate", "--family", "fibonacci", "--letter", "ab",
+          "--level", "1"], "'ab'"),
+        (["semimix", "verify", "--cert", str(cert_path), "--span", "-3"],
+         "--span"),
+        (["semimix", "certify", "--family", "fibonacci", "--word", "a",
+          "--verify-range", "-2"], "--verify-range"),
     ]:
         code, out, err = run_cli(argv)
         assert code == 2 and out == "", argv

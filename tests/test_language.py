@@ -435,19 +435,6 @@ def test_lanes_of_different_periods_finish():
         (False, 7, None), (False, 7, None), (False, 7, None), (True, 0, "0")]
 
 
-def test_lane_level_compares_by_every_profile():
-    # a lane's level projects each letter's profile on first read, so its
-    # own dict may hold fewer letters than it stands for; != must compare
-    # every profile, as == does, and not that partly filled dict
-    sub = random_fibonacci()
-    lane = _pattern_search(sub, ["bb", "aaa"])[1][3][2]
-    alone = _pattern_search(sub, ["aaa"])[0][3][2]
-    assert dict(alone) == alone and set(alone) == {"a", "b"}
-    assert not lane != alone
-    assert lane != {**alone, "b": alone["a"]}
-    assert lane == alone
-
-
 @given(rule=st.one_of(mixed_rules, st.sampled_from(BUILT_IN_RULES)),
        data=st.data())
 @settings(max_examples=300, deadline=None)

@@ -185,6 +185,17 @@ def test_dag_contains():
     assert not deep.contains(dag.spell_any("a", 5), "a", 5000)
     assert deep.contains(dag.spell_any("a", 5), "a", 5)
     assert not deep.contains("", "a", 0) and deep.contains("a", "a", 0)
+    # '?' and letters outside the alphabet are no letter's level-0 word
+    assert not dag.contains("a?", "a", 1)
+    assert not dag.contains("ax", "a", 1)
+    assert not dag.contains("?", "b", 0)
+    # a long member, and the same word with its middle letter changed
+    trib = build_dag(random_tribonacci(), 14)
+    word = trib.spell_any("a", 14)
+    mid = len(word) // 2
+    assert len(word) == 5768 and word[mid] != "c"
+    assert trib.contains(word, "a", 14)
+    assert not trib.contains(word[:mid] + "c" + word[mid + 1:], "a", 14)
 
 
 # rules with images of several lengths, some letters of which only ever
@@ -740,6 +751,9 @@ def test_rules_text_round_trip():
         assert again.rule == sub.rule
         assert again.alphabet == sub.alphabet
     assert "a -> {ab, ba}" in format_rules(random_fibonacci())
+    # blank and '#' comment lines are skipped
+    text = "# fibonacci\n\na -> {ab, ba}\n   \nb -> {a}\n"
+    assert parse_rules(text).rule == random_fibonacci().rule
 
 
 def test_parse_rules_rejects_bad_input():
