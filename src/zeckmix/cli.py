@@ -53,6 +53,9 @@ def _family_from_args(args) -> Family:
     if None in values:
         flags = " and ".join(f"--{n}" for n in names)
         raise ValueError(f"{args.family} needs {flags}")
+    for n in ("k", "m"):
+        if n not in names and getattr(args, n) is not None:
+            raise ValueError(f"{args.family} takes no --{n}")
     return Family(args.family, values)
 
 
@@ -135,6 +138,9 @@ def _cmd_seq_complete(args) -> int:
     if args.coeffs:
         if not args.init:
             raise ValueError("--coeffs needs --init")
+        for n in ("family", "k", "m"):
+            if getattr(args, n) is not None:
+                raise ValueError(f"--coeffs takes no --{n}")
         coeffs = tuple(int(x) for x in args.coeffs.split(","))
         init = tuple(int(x) for x in args.init.split(","))
         rec = LinearRecurrence(len(coeffs), coeffs, init, "custom")

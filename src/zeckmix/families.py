@@ -15,10 +15,9 @@ substitution layer.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 
 from . import numeration
-from .errors import UnsupportedFamilyError
+from .errors import Record, UnsupportedFamilyError, _setattr
 
 
 def _fibonacci_tables():
@@ -76,9 +75,8 @@ def _metallic_pisa_seeds(letters: str, k: int, m: int) -> tuple[str, ...]:
 # substitution module first, `seeds` the alphabet), to its least and
 # greatest value (None: unbounded); `tables` exists for the families
 # `certify` covers, and `alias` names the covered family certified in place
-# of this one.  A named tuple rather than a frozen dataclass: every CLI
-# call creates this type, and the dataclass took 1.4 ms to create against
-# 0.12 ms (2-vCPU Xeon, CPython 3.11).
+# of this one.  A named tuple, since nothing compares or prints it and
+# every CLI call creates the type (0.12 ms, 2-vCPU Xeon, CPython 3.11).
 _FamilySpec = namedtuple(
     "_FamilySpec", "params substitution scheme seeds tables alias",
     defaults=(None, lambda *params: None))
@@ -125,25 +123,25 @@ def _label(name: str, params: tuple[int, ...]) -> str:
     return " ".join([name] + [f"{n}={v}" for n, v in zip(names, params)])
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(Record):
     """A built-in family tag: fibonacci, tribonacci, kbonacci(k),
     metallic(m) or metallic-pisa(k, m)."""
 
-    name: str
-    params: tuple[int, ...] = ()
+    __slots__ = _fields = _compared = ("name", "params")
 
-    def __post_init__(self):
-        ranges = _spec(self.name).params
-        if len(self.params) != len(ranges):
+    def __init__(self, name: str, params: tuple[int, ...] = ()):
+        ranges = _spec(name).params
+        if len(params) != len(ranges):
             raise UnsupportedFamilyError(
-                f"family {self.name!r} takes {len(ranges)} parameter(s)"
+                f"family {name!r} takes {len(ranges)} parameter(s)"
             )
-        for (key, (least, most)), value in zip(ranges.items(), self.params):
+        for (key, (least, most)), value in zip(ranges.items(), params):
             if value < least or most is not None and value > most:
                 bound = (f"{key} >= {least}" if most is None
                          else f"{least} <= {key} <= {most}")
-                raise ValueError(f"family {self.name!r} needs {bound}")
+                raise ValueError(f"family {name!r} needs {bound}")
+        _setattr(self, "name", name)
+        _setattr(self, "params", params)
 
     def substitution(self):
         """The family's rule, a `RandomSubstitution`."""

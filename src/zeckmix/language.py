@@ -54,10 +54,9 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import GuardExceededError
+from .errors import GuardExceededError, Record, _setattr
 from .substitution import (
     DEFAULT_SET_GUARD,
     RandomSubstitution,
@@ -634,12 +633,16 @@ class _Extractor:
 # public operations
 
 
-@dataclass(frozen=True)
-class LegalityVerdict:
-    legal: bool
-    witness: tuple[int, str, str] | None
-    levels_examined: int
-    stabilized: bool
+class LegalityVerdict(Record):
+    __slots__ = _fields = _compared = ("legal", "witness", "levels_examined",
+                                       "stabilized")
+
+    def __init__(self, legal: bool, witness: tuple[int, str, str] | None,
+                 levels_examined: int, stabilized: bool):
+        _setattr(self, "legal", legal)
+        _setattr(self, "witness", witness)
+        _setattr(self, "levels_examined", levels_examined)
+        _setattr(self, "stabilized", stabilized)
 
     def __bool__(self) -> bool:
         return self.legal

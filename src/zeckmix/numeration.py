@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_right
-from dataclasses import dataclass, field
 
-from .errors import DigitRuleError, GuardExceededError
+from .errors import DigitRuleError, GuardExceededError, Record, _setattr
 
 INT64_MAX = 2**63 - 1
 # Guards every append to a recurrence's term cache.  It is taken only when a
@@ -27,26 +26,29 @@ INT64_MAX = 2**63 - 1
 _EXTEND_LOCK = threading.Lock()
 
 
-@dataclass(frozen=True)
-class LinearRecurrence:
-    """term(i) = sum(coefficients[j] * term(i-1-j)) once i >= order."""
+class LinearRecurrence(Record):
+    """term(i) = sum(coefficients[j] * term(i-1-j)) once i >= order.
 
-    order: int
-    coefficients: tuple[int, ...]
-    initial_terms: tuple[int, ...]
-    label: str = ""
-    _terms: list[int] = field(default_factory=list, repr=False, compare=False)
+    `_terms`, the shared term cache, is left out of equality and repr."""
 
-    def __post_init__(self):
-        if self.order < 1:
+    __slots__ = ("order", "coefficients", "initial_terms", "label", "_terms")
+    _fields = _compared = __slots__[:4]
+
+    def __init__(self, order: int, coefficients: tuple[int, ...],
+                 initial_terms: tuple[int, ...], label: str = ""):
+        if order < 1:
             raise ValueError("order must be >= 1")
-        if len(self.coefficients) != self.order:
+        if len(coefficients) != order:
             raise ValueError("need exactly `order` coefficients")
-        if len(self.initial_terms) != self.order:
+        if len(initial_terms) != order:
             raise ValueError("need exactly `order` initial terms")
-        if any(c < 0 for c in self.coefficients) or self.coefficients[0] < 1:
+        if any(c < 0 for c in coefficients) or coefficients[0] < 1:
             raise ValueError("coefficients must be nonnegative with c1 >= 1")
-        self._terms.extend(self.initial_terms)
+        _setattr(self, "order", order)
+        _setattr(self, "coefficients", coefficients)
+        _setattr(self, "initial_terms", initial_terms)
+        _setattr(self, "label", label)
+        _setattr(self, "_terms", list(initial_terms))
 
     def term(self, i: int) -> int:
         """i-th sequence element; cached, with checked 64-bit arithmetic."""
@@ -89,8 +91,7 @@ def _metallic_pisa_recurrence(k: int, m: int, label: str) -> LinearRecurrence:
     return LinearRecurrence(k, (m,) + (1,) * (k - 1), init, label)
 
 
-@dataclass(frozen=True)
-class NumerationScheme:
+class NumerationScheme(Record):
     """A recurrence plus the digit-validity rule of its Zeckendorf theorem.
 
     `base_index` is the smallest term index a digit may sit on (1 for
@@ -110,18 +111,17 @@ class NumerationScheme:
     such schemes are rejected too.
     """
 
-    recurrence: LinearRecurrence
-    family: str
-    params: tuple[int, ...] = ()
-    base_index: int = 1
+    __slots__ = _fields = _compared = ("recurrence", "family", "params",
+                                       "base_index")
 
-    def __post_init__(self):
-        coeffs = self.recurrence.coefficients
+    def __init__(self, recurrence: LinearRecurrence, family: str,
+                 params: tuple[int, ...] = (), base_index: int = 1):
+        coeffs = recurrence.coefficients
         if any(c < 1 for c in coeffs):
             raise ValueError("scheme coefficients must all be >= 1")
         if any(a < b for a, b in zip(coeffs, coeffs[1:])):
             raise ValueError("scheme coefficients must be nonincreasing")
-        rec, base = self.recurrence, self.base_index
+        rec, base = recurrence, base_index
         if rec.term(base) != 1:
             raise ValueError("term at base_index must equal 1")
         try:
@@ -137,6 +137,10 @@ class NumerationScheme:
         if window[:rec.order] != natural[:len(window)]:
             raise ValueError("terms above the base index must start as "
                              "t_{b+i} = c_1 t_{b+i-1} + ... + c_i t_b + 1")
+        _setattr(self, "recurrence", recurrence)
+        _setattr(self, "family", family)
+        _setattr(self, "params", params)
+        _setattr(self, "base_index", base_index)
 
     @property
     def max_digit(self) -> int:
@@ -182,12 +186,14 @@ def custom_scheme(recurrence: LinearRecurrence, base_index: int) -> NumerationSc
     return NumerationScheme(recurrence, "custom", (), base_index)
 
 
-@dataclass(frozen=True, slots=True)
-class DigitString:
+class DigitString(Record):
     """Digits of a natural number, most-significant first; empty means 0."""
 
-    digits: tuple[int, ...]
-    scheme: NumerationScheme
+    __slots__ = _fields = _compared = ("digits", "scheme")
+
+    def __init__(self, digits: tuple[int, ...], scheme: NumerationScheme):
+        _setattr(self, "digits", digits)
+        _setattr(self, "scheme", scheme)
 
     def __len__(self) -> int:
         return len(self.digits)
@@ -211,8 +217,8 @@ _set_scheme = DigitString.scheme.__set__
 
 
 def _digit_string(digits: tuple[int, ...], scheme: NumerationScheme) -> DigitString:
-    """DigitString(digits, scheme) through the slot setters, skipping the
-    frozen __init__'s object.__setattr__ calls on the encoding hot path."""
+    """DigitString(digits, scheme) through the slot setters, skipping
+    __init__'s `_setattr` calls on the encoding hot path."""
     out = _new_object(DigitString)
     _set_digits(out, digits)
     _set_scheme(out, scheme)

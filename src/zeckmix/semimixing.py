@@ -39,13 +39,13 @@ lengths that is 61 steps instead of 416.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
 from .errors import (
     HORIZON_GUARD,
     GuardExceededError,
     IllegalWordError,
+    Record,
     UnsupportedFamilyError,
+    _setattr,
 )
 from .families import _FAMILIES, Family, _spec
 from .language import (
@@ -87,11 +87,13 @@ def parse_family(text: str) -> Family:
     return Family(name, tuple(_integer(f"family {name} {n}", kv[n]) for n in names))
 
 
-@dataclass(frozen=True)
-class SeedSet:
-    words: tuple[str, ...]
-    length: int
-    proper: bool
+class SeedSet(Record):
+    __slots__ = _fields = _compared = ("words", "length", "proper")
+
+    def __init__(self, words: tuple[str, ...], length: int, proper: bool):
+        _setattr(self, "words", words)
+        _setattr(self, "length", length)
+        _setattr(self, "proper", proper)
 
 
 def make_seed_set(sub: RandomSubstitution, words) -> SeedSet:
@@ -127,20 +129,26 @@ def seed_sets(family: Family, sub: RandomSubstitution | None = None) -> SeedSet:
 # empirical checker
 
 
-@dataclass(frozen=True)
-class WitnessEntry:
-    u: str
-    s: str
-    evidence: LegalityVerdict
+class WitnessEntry(Record):
+    __slots__ = _fields = _compared = ("u", "s", "evidence")
+
+    def __init__(self, u: str, s: str, evidence: LegalityVerdict):
+        _setattr(self, "u", u)
+        _setattr(self, "s", s)
+        _setattr(self, "evidence", evidence)
 
 
-@dataclass(frozen=True)
-class WitnessTable:
-    source: str
-    horizon: int
-    seeds: tuple[str, ...]
-    entries: tuple[WitnessEntry | None, ...]
-    threshold: int | None
+class WitnessTable(Record):
+    __slots__ = _fields = _compared = ("source", "horizon", "seeds", "entries",
+                                       "threshold")
+
+    def __init__(self, source: str, horizon: int, seeds: tuple[str, ...],
+                 entries: tuple[WitnessEntry | None, ...], threshold: int | None):
+        _setattr(self, "source", source)
+        _setattr(self, "horizon", horizon)
+        _setattr(self, "seeds", seeds)
+        _setattr(self, "entries", entries)
+        _setattr(self, "threshold", threshold)
 
     def to_report(self) -> str:
         lines = [
@@ -219,31 +227,54 @@ def check_empirical(sub: RandomSubstitution, seeds: SeedSet, w: str,
 # constructive certificates
 
 
-@dataclass(frozen=True)
-class DerivationStep:
-    digit: int
-    word: str                  # z after the step
-    seed: str                  # s after the step
-    element: str               # e after the step
-    level: int                 # e lives in level-`level` inflation words of a
+class DerivationStep(Record):
+    """One digit's step: `word` is z, `seed` is s and `element` is e after
+    it, and e lives in the level-`level` inflation words of a."""
+
+    __slots__ = _fields = _compared = ("digit", "word", "seed", "element",
+                                       "level")
+
+    def __init__(self, digit: int, word: str, seed: str, element: str,
+                 level: int):
+        _setattr(self, "digit", digit)
+        _setattr(self, "word", word)
+        _setattr(self, "seed", seed)
+        _setattr(self, "element", element)
+        _setattr(self, "level", level)
 
 
-@dataclass(frozen=True)
-class Certificate:
-    family: Family
-    source: str
-    level: int                 # w occurs inside a level-`level` word of a
-    w_prime: str
-    x: str
-    y: str
-    lead_position: int         # digit index carrying the minimal leading 1
-    n0: int
-    threshold: int             # |y| + n0
-    seeds: tuple[str, ...]
-    seed_length: int
-    letter_images: dict[str, str] = field(compare=False)
-    base_table: dict[int, tuple[str, str, str]] = field(compare=False)
-    step_table: dict[tuple[str, int], str] = field(compare=False)
+class Certificate(Record):
+    """w = `source` occurs inside a level-`level` word `w_prime` = x w y of
+    a; `lead_position` is the digit index carrying the minimal leading 1,
+    and `threshold` is |y| + n0.  The three tables are left out of
+    equality."""
+
+    __slots__ = _fields = (
+        "family", "source", "level", "w_prime", "x", "y", "lead_position", "n0",
+        "threshold", "seeds", "seed_length", "letter_images", "base_table",
+        "step_table")
+    _compared = _fields[:11]
+
+    def __init__(self, family: Family, source: str, level: int, w_prime: str,
+                 x: str, y: str, lead_position: int, n0: int, threshold: int,
+                 seeds: tuple[str, ...], seed_length: int,
+                 letter_images: dict[str, str],
+                 base_table: dict[int, tuple[str, str, str]],
+                 step_table: dict[tuple[str, int], str]):
+        _setattr(self, "family", family)
+        _setattr(self, "source", source)
+        _setattr(self, "level", level)
+        _setattr(self, "w_prime", w_prime)
+        _setattr(self, "x", x)
+        _setattr(self, "y", y)
+        _setattr(self, "lead_position", lead_position)
+        _setattr(self, "n0", n0)
+        _setattr(self, "threshold", threshold)
+        _setattr(self, "seeds", seeds)
+        _setattr(self, "seed_length", seed_length)
+        _setattr(self, "letter_images", letter_images)
+        _setattr(self, "base_table", base_table)
+        _setattr(self, "step_table", step_table)
 
 
 def certify(sub: RandomSubstitution, family: Family, w: str) -> Certificate:
@@ -346,11 +377,14 @@ def _links(sub, base_alternatives, prev, step) -> bool:
     return step.level == prev.level + 1 and in_image(sub, prev.element, step.element)
 
 
-@dataclass(frozen=True)
-class VerificationOutcome:
-    ok: bool
-    checked: int
-    counterexample: tuple[int, str] | None
+class VerificationOutcome(Record):
+    __slots__ = _fields = _compared = ("ok", "checked", "counterexample")
+
+    def __init__(self, ok: bool, checked: int,
+                 counterexample: tuple[int, str] | None):
+        _setattr(self, "ok", ok)
+        _setattr(self, "checked", checked)
+        _setattr(self, "counterexample", counterexample)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -584,4 +618,4 @@ def corrupt_step(cert: Certificate, seed: str, digit: int, word: str) -> Certifi
     """A copy of the certificate with one step realisation overridden."""
     table = dict(cert.step_table)
     table[(seed, digit)] = word
-    return replace(cert, step_table=table)
+    return cert._replace(step_table=table)

@@ -13,8 +13,6 @@ repeat, however deep the level.
 from __future__ import annotations
 
 import math
-import string
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, zip_longest
 
@@ -22,16 +20,27 @@ from .errors import (
     DEFAULT_SET_GUARD,
     GuardExceededError,
     NonPrimitiveMatrixError,
+    Record,
     StructureError,
+    _setattr,
 )
 
 
-@dataclass(frozen=True)
-class RandomSubstitution:
-    alphabet: tuple[str, ...]
-    rule: dict[str, tuple[str, ...]]
-    uniform_length: bool
-    abelian_compatible: bool
+class RandomSubstitution(Record):
+    """A validated rule; see `make_substitution`.  Unhashable, as its rule
+    is a dict; the `__dict__` slot holds only `first_images`."""
+
+    __slots__ = ("alphabet", "rule", "uniform_length", "abelian_compatible",
+                 "__dict__")
+    _fields = _compared = __slots__[:4]
+    __hash__ = None
+
+    def __init__(self, alphabet: tuple[str, ...], rule: dict[str, tuple[str, ...]],
+                 uniform_length: bool, abelian_compatible: bool):
+        _setattr(self, "alphabet", alphabet)
+        _setattr(self, "rule", rule)
+        _setattr(self, "uniform_length", uniform_length)
+        _setattr(self, "abelian_compatible", abelian_compatible)
 
     @cached_property
     def first_images(self) -> dict[str, str]:
@@ -97,7 +106,7 @@ def metallic_pisa(k: int, m: int) -> RandomSubstitution:
     built-in family is an instance (fibonacci is k=2, m=1)."""
     if not 2 <= k <= 26 or m < 1:
         raise ValueError("need 2 <= k <= 26 and m >= 1")
-    letters = string.ascii_lowercase[:k]
+    letters = "abcdefghijklmnopqrstuvwxyz"[:k]
     a1 = letters[0]
     rule = {}
     for i in range(k - 1):
@@ -226,8 +235,7 @@ def spell_first(sub: RandomSubstitution, letter: str, level: int,
     return word
 
 
-@dataclass
-class InflationDag:
+class InflationDag(Record):
     """Compressed view of all level-n inflation word sets up to max_level.
 
     Node (letter, n) stands for the set of level-n inflation words of
@@ -238,12 +246,18 @@ class InflationDag:
     through `_next_spans`, the composition the legality kernel uses;
     `spell_any` spells one element by `spell_first`.  The per-level table
     is the only state, and it only ever stores a value under its key equal
-    to itself, so threads that fill one DAG at once agree.
+    to itself, so threads that fill one DAG at once agree; it is left out
+    of equality and repr.  Unhashable, like its substitution.
     """
 
-    substitution: RandomSubstitution
-    max_level: int
-    _table: dict = field(default_factory=dict, repr=False)
+    __slots__ = ("substitution", "max_level", "_table")
+    _fields = _compared = __slots__[:2]
+    __hash__ = None
+
+    def __init__(self, substitution: RandomSubstitution, max_level: int):
+        _setattr(self, "substitution", substitution)
+        _setattr(self, "max_level", max_level)
+        _setattr(self, "_table", {})
 
     def _check_level(self, level: int) -> None:
         if not 0 <= level <= self.max_level:

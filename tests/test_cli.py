@@ -105,21 +105,32 @@ FOOTPRINTS = [
     (["subst", "show", "--rules", "{rules}"], (*_CORE, "substitution")),
     (["lang", "legal", "--family", "fibonacci", "bb"],
      (*_CORE, "language", "substitution")),
+    (["semimix", "check", "--family", "fibonacci", "--word", "a"],
+     (*_CORE, "language", "semimixing", "substitution")),
+    (["semimix", "verify", "--cert", "{cert}", "--span", "5"],
+     (*_CORE, "language", "semimixing", "substitution")),
 ]
 
 
 @pytest.mark.parametrize("argv, layers", FOOTPRINTS, ids=[
     "zeck-encode", "seq-term", "subst-show-family", "subst-show-rules",
-    "lang-legal"])
+    "lang-legal", "semimix-check", "semimix-verify"])
 def test_cli_command_loads_only_its_layers(tmp_path, argv, layers):
+    # and none of the standard modules that only dataclasses (inspect and
+    # what it imports) or string constants would bring in
     rules = tmp_path / "rules.txt"
     rules.write_text("a -> {ab, ba}\nb -> {a}\n", encoding="utf-8")
-    argv = [part.replace("{rules}", str(rules)) for part in argv]
+    cert = tmp_path / "cert.txt"
+    cert.write_text(certificate_report(certify(
+        random_fibonacci(), Family("fibonacci"), "a")) + "\n", encoding="utf-8")
+    argv = [part.replace("{rules}", str(rules)).replace("{cert}", str(cert))
+            for part in argv]
     out = run_fresh(
         "import sys\n"
         "from zeckmix.cli import main\n"
         f"assert main({argv!r}) == 0\n"
-        "assert 'numpy' not in sys.modules\n"
+        "for name in ('numpy', 'dataclasses', 'inspect', 'string'):\n"
+        "    assert name not in sys.modules, name\n"
         "print(*sorted(m for m in sys.modules if m.startswith('zeckmix.')))\n"
     )
     assert out.splitlines()[-1].split() == [f"zeckmix.{m}" for m in sorted(layers)]
@@ -470,6 +481,9 @@ def test_exit_code_2_on_bad_parameters(tmp_path):
         (["seq", "complete", "--coeffs", "1,1"], "--init"),
         (["seq", "complete", "--family", "fibonacci", "--init", "5,5"],
          "--init"),
+        (["seq", "complete", "--family", "tribonacci", "--coeffs", "1,1",
+          "--init", "1,2"], "--family"),
+        (["zeck", "encode", "--family", "fibonacci", "--m", "3", "10"], "--m"),
         (["subst", "apply", "--family", "fibonacci", "az"], "'z'"),
         (["subst", "inflate", "--family", "fibonacci", "--letter", "z",
           "--level", "2"], "'z'"),

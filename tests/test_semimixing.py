@@ -1,7 +1,6 @@
 import itertools
 import sys
 import threading
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -211,7 +210,7 @@ def test_verify_certificate_reports_failures_in_order(monkeypatch):
 
     def all_b(step):    # b in place of every letter of the word
         b = "b" * len(step.word)
-        return replace(step, word=b, element=b + step.element[len(b):])
+        return step._replace(word=b, element=b + step.element[len(b):])
 
     _rig_steps(monkeypatch, cert, {_digits(cert, t + 2): all_b})
     u, s, _ = derive_witness(cert, t + 2)
@@ -252,7 +251,7 @@ def test_replay_skips_what_follows_a_failure(monkeypatch):
         raise KeyError("missing")
 
     _rig_steps(monkeypatch, cert, {
-        _digits(cert, 6): lambda step: replace(step, seed="aa"),
+        _digits(cert, 6): lambda step: step._replace(seed="aa"),
         _digits(cert, 5): missing})
     for ns, reason in (([6, 5], "witness seed 'aa' is not in the seed set"),
                        ([5, 6], "derivation failed: 'missing'")):
@@ -434,7 +433,7 @@ def test_deep_verification_catches_broken_final_element(monkeypatch):
         assert tail, "the element needs a tail to break"
         element = step.element[:keep] + tail[:-1]
         assert not build_dag(fib, step.level).contains(element, "a", step.level)
-        return replace(step, element=element)
+        return step._replace(element=element)
 
     _rig_steps(monkeypatch, cert, {_digits(cert, bad_n): broken_tail})
     outcome = verify_certificate(cert, ns, deep=True)
@@ -478,7 +477,7 @@ def test_deep_verification_anchors_the_chain_at_level_two(monkeypatch):
     fib = random_fibonacci()
     cert = certify(fib, FIB, "a")
     _rig_steps(monkeypatch, cert, {
-        (lead,): lambda step: replace(step, level=3) for lead in cert.base_table})
+        (lead,): lambda step: step._replace(level=3) for lead in cert.base_table})
     ns = [cert.threshold + 4]
     assert [step.level for step in derive_witness(cert, ns[0])[2]] == [3, 4, 5, 6]
     outcome = verify_certificate(cert, ns, deep=True)
@@ -520,7 +519,7 @@ def test_replay_rechecks_a_changed_step_at_a_shared_prefix(monkeypatch, order, p
         i = len(step.element) - 1 if part == "element" else len(step.word)
         element = step.element[:i] + flip[step.element[i]] + step.element[i + 1:]
         assert element.startswith(step.word + step.seed) == (part == "element")
-        return replace(step, element=element)
+        return step._replace(element=element)
 
     _rig_steps(monkeypatch, cert, {_digits(cert, small): broken})
     ns = [small, big] if order == "small first" else [big, small]
@@ -593,7 +592,7 @@ def _bookkeeping_off(step):
     # image (a -> ab, b -> a) keeps its length, so the next step's word has
     # the right length
     word = step.word.replace("a", "bb", 1)
-    return replace(step, word=word, element=word + step.element[len(step.word):])
+    return step._replace(word=word, element=word + step.element[len(step.word):])
 
 
 # on the fibonacci certificate for "ab" (threshold 2, base table {1: (a, ab,
@@ -602,30 +601,30 @@ def _bookkeeping_off(step):
 # its first `depth` digits, fails n = 7, which is checked first
 _REASONS = [
     pytest.param("embedding split does not reassemble w_prime",
-                 lambda c: replace(c, x=c.x + "a"), None, id="embedding"),
+                 lambda c: c._replace(x=c.x + "a"), None, id="embedding"),
     pytest.param("w_prime is not a level-2 inflation word of a",
-                 lambda c: replace(c, w_prime=c.w_prime + "bbb", y=c.y + "bbb"),
+                 lambda c: c._replace(w_prime=c.w_prime + "bbb", y=c.y + "bbb"),
                  None, id="w_prime level"),
     pytest.param("threshold does not equal |y| + n0",
-                 lambda c: replace(c, threshold=c.threshold + 1), None,
+                 lambda c: c._replace(threshold=c.threshold + 1), None,
                  id="threshold"),
     pytest.param("n0 is not the recorded sequence term",
-                 lambda c: replace(c, n0=c.n0 + 1, threshold=c.threshold + 1),
+                 lambda c: c._replace(n0=c.n0 + 1, threshold=c.threshold + 1),
                  None, id="n0"),
     pytest.param("letter image a->bb is not a rule image",
-                 lambda c: replace(c, letter_images={**c.letter_images, "a": "bb"}),
+                 lambda c: c._replace(letter_images={**c.letter_images, "a": "bb"}),
                  None, id="letter image"),
     pytest.param("base seed 'aa' is not in the seed set",
-                 lambda c: replace(c, base_table={1: ("a", "aa", "aaa")}), None,
+                 lambda c: c._replace(base_table={1: ("a", "aa", "aaa")}), None,
                  id="base seed"),
     pytest.param("base word for digit 1 is not a prefix of e0",
-                 lambda c: replace(c, base_table={1: ("a", "ab", "aba")}), None,
+                 lambda c: c._replace(base_table={1: ("a", "ab", "aba")}), None,
                  id="base prefix"),
     pytest.param("base word for digit 2 has the wrong length",
-                 lambda c: replace(c, base_table={2: ("a", "ab", "aab")}), None,
+                 lambda c: c._replace(base_table={2: ("a", "ab", "aab")}), None,
                  id="base length"),
     pytest.param("base element for digit 1 is not level-2",
-                 lambda c: replace(c, base_table={1: ("a", "ab", "aabb")}), None,
+                 lambda c: c._replace(base_table={1: ("a", "ab", "aabb")}), None,
                  id="base level-2"),
     pytest.param("step seed 'zb' is not in the seed set",
                  lambda c: corrupt_step(c, "zb", 0, "aba"), None, id="step seed"),
@@ -638,10 +637,10 @@ _REASONS = [
                  lambda c: corrupt_step(c, "ab", 1, "baa"), None,
                  id="step follower"),
     pytest.param("witness has length 8, expected 7", None,
-                 (4, lambda step: replace(step, word=step.word + "a")),
+                 (4, lambda step: step._replace(word=step.word + "a")),
                  id="witness length"),
     pytest.param("witness seed 'aa' is not in the seed set", None,
-                 (4, lambda step: replace(step, seed="aa")), id="witness seed"),
+                 (4, lambda step: step._replace(seed="aa")), id="witness seed"),
     pytest.param("digit bookkeeping broken at level 4", None,
                  (3, _bookkeeping_off), id="bookkeeping"),
 ]
@@ -751,7 +750,7 @@ def test_missing_letter_image_fails_the_derivation(deep):
     # a letter the certificate gives no image stops the derivation that
     # first expands it, rather than passing through unexpanded
     cert = certify(random_fibonacci(), FIB, "a")
-    bad = replace(cert, letter_images={"a": "ab"})
+    bad = cert._replace(letter_images={"a": "ab"})
     outcome = verify_certificate(
         bad, range(bad.threshold, bad.threshold + 30), deep=deep)
     assert (outcome.ok, outcome.checked, outcome.counterexample) == \

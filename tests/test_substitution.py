@@ -403,6 +403,20 @@ def test_dag_rejects_levels_it_was_not_built_to():
         dag.contains("a", "x", 0)
 
 
+def test_inflation_dag_is_immutable_and_compares_without_its_cache():
+    sub = random_fibonacci()
+    a, b = build_dag(sub, 6), build_dag(sub, 6)
+    assert a == b
+    assert a.element_length("a", 5) == 13 and a.path_count("b", 6) > 1
+    assert a == b and b == a and not a != b
+    assert a != build_dag(sub, 5) and a != build_dag(random_tribonacci(), 6)
+    with pytest.raises(AttributeError):
+        a.max_level = 3
+    with pytest.raises(AttributeError):
+        a.substitution = random_tribonacci()
+    assert a.max_level == 6 and a.substitution is sub
+
+
 def test_non_uniform_length_reported():
     sub = make_substitution({"a": ("a", "ab"), "b": ("b",)})
     assert not sub.uniform_length
