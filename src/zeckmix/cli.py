@@ -63,10 +63,16 @@ def _scheme_from_args(args):
     return _family_from_args(args).scheme()
 
 
-def _substitution_from_args(args):
+def _substitution_from_args(args, seed_family=False):
+    """The substitution of --rules, else of the family.  --rules takes no
+    family flags, unless `seed_family` lets --family name the seeds."""
     from .substitution import parse_rules
 
     if getattr(args, "rules", None):
+        given = [f"--{n}" for n in ("family", "k", "m")
+                 if getattr(args, n) is not None]
+        if given and not (seed_family and args.family):
+            raise ValueError(f"--rules takes no {', '.join(given)}")
         with open(args.rules, encoding="utf-8") as fh:
             return parse_rules(fh.read())
     return _family_from_args(args).substitution()
@@ -246,7 +252,7 @@ def _cmd_lang_enum(args) -> int:
 def _cmd_semimix_check(args) -> int:
     from .semimixing import check_empirical, make_seed_set, seed_sets
 
-    sub = _substitution_from_args(args)
+    sub = _substitution_from_args(args, seed_family=True)
     family = _family_from_args(args) if args.family else None
     if args.seeds:
         seeds = make_seed_set(sub, args.seeds.split(","))

@@ -214,7 +214,8 @@ def _project(profiles, shift, mask):
 
 class _LaneHistory(dict):
     """The per-level profiles of one lane of a batched search, each level
-    projected out of the packed one into a plain dict when first read."""
+    projected out of the packed one into a plain dict when first read.
+    `_Extractor` reads `packed` at `shift` in place instead."""
 
     __slots__ = ("packed", "shift", "mask")
 
@@ -343,14 +344,15 @@ def _pattern_search(sub, patterns, stop_letters=None, min_level=0):
 # recorded profile fact, by replaying the same transitions
 
 
-def _reaches(image, prev, upto):
+def _reaches(image, prev, zero, upto):
     """reach[k]: the progresses q (bits of `upto`) at which the children
-    before child k end with pattern[:q]: 0, the restarts (sp bits) of child
-    k - 1 and the ends of its elements that start at a bit of reach[k-1]."""
-    reach = [1]
+    before child k end with pattern[:q]: 0 (the bit `zero`), the restarts
+    (sp bits) of child k - 1 and the ends of its elements that start at a
+    bit of reach[k-1]."""
+    reach = [zero]
     for c in image:
         _, sp_c, _, spans_c = prev[c]
-        reach.append((1 | sp_c | _succ(spans_c, reach[-1])) & upto)
+        reach.append((zero | sp_c | _succ(spans_c, reach[-1])) & upto)
     return reach
 
 
@@ -415,17 +417,24 @@ class _Extractor:
     closures, so an extraction leaves no reference cycle behind for the
     cyclic garbage collector.
 
-    `history` is the pattern's lane of a profile search, level by level:
-    the list a one-lane search keeps, or a `_LaneHistory` projecting the
-    lane out of a batch.  Every shift of the kernel stays inside its lane
-    (see the module docstring), so the projection holds the very profiles
-    a one-lane search computes, guard bit included, and an extraction reads
-    the same bits, and builds the same witness, from either.
+    `history` is the pattern's lane of a profile search: the list of
+    levels a one-lane search keeps, or a `_LaneHistory` of a batch, whose
+    packed levels are read in place, with no copy of the lane.  The lane's
+    bits start at `offset` (0 for one lane), and the walks run on those
+    absolute bits: progress q is bit offset + q, while chunk keys and
+    offsets are read back relative to the pattern.  Every shift of the
+    kernel stays inside its lane (see the module docstring), so a walk
+    started from lane bits reads only the bits a search of the pattern
+    alone computes.  The two reads that see other lanes, a child's `occurs`
+    in `_locate` and its ps in a `head` plan, are ANDed with `lane`, so an
+    extraction builds the same witness from a batch as from that search.
     """
 
     def __init__(self, sub, pattern, history, memo):
-        self.sub, self.pattern = sub, pattern
-        self.history, self.memo = history, memo
+        self.sub, self.pattern, self.memo = sub, pattern, memo
+        self.history = getattr(history, "packed", history)
+        self.offset = getattr(history, "shift", 0)
+        self.lane = (4 << len(pattern)) - 1 << self.offset
 
     def _piece(self, key, q):
         """The memoised element for the chunk `key` (never empty), or (key,
@@ -477,11 +486,12 @@ class _Extractor:
         element if it is known (a memoised chunk or the first-image
         spelling), else the (key, offset) chunk it spells."""
         mode, text, letter, level = key
-        j = i + len(text)
+        o = self.offset
+        j = o + i + len(text)
         prev = self.history[level - 1]
         if mode == "tail":
             for image in self.sub.rule[letter]:
-                reach = _reaches(image, prev, (2 << j) - 1)
+                reach = _reaches(image, prev, 1 << o, (2 << j) - (1 << o))
                 if reach[-1] >> j & 1:
                     parts = [None] * len(image)
                     self._back(image, prev, reach, len(image), j, level, parts)
@@ -489,14 +499,15 @@ class _Extractor:
             raise AssertionError("no realisation for recorded suffix-prefix")
         pattern = self.pattern
         for image in self.sub.rule[letter]:
-            plan = self._plan(image, i, j, prev, mode == "head")
+            plan = self._plan(image, o + i, j, prev, mode == "head")
             if plan is not None:
                 parts = [None] * len(image)
                 for k, (q, end) in enumerate(plan):
+                    q -= o
                     parts[k] = self._piece(
                         ("head", pattern[q:], image[k], level - 1)
                         if end is None else
-                        ("exact", pattern[q:end], image[k], level - 1), q)
+                        ("exact", pattern[q:end - o], image[k], level - 1), q)
                 return self._spelled(image, level, parts)
         raise AssertionError("no realisation for recorded span or prefix")
 
@@ -513,7 +524,7 @@ class _Extractor:
         for c in reversed(image):
             _, _, ps_c, spans_c = prev[c]
             fits = _pred(spans_c, alive[0])
-            alive.insert(0, fits | ps_c if heads else fits)
+            alive.insert(0, fits | ps_c & self.lane if heads else fits)
         if not alive[0] >> i & 1:
             return None
         plan, q = [], i
@@ -531,8 +542,8 @@ class _Extractor:
         """The member of `mask` (within reach[idx]) reached first: 0, then
         child idx - 1's restarts, then its continuations by the rank one
         child back of the progress each continues first; ties ascending."""
-        if mask & 1:
-            return 0
+        if mask >> self.offset & 1:
+            return self.offset
         _, sp_c, _, spans_c = prev[image[idx - 1]]
         got = mask & sp_c
         if not got:
@@ -547,18 +558,18 @@ class _Extractor:
         child where the match begins and the progress it restarts with
         there.  The chain never continues from progress 0: a span from 0
         that ends inside the pattern ends at an sp bit, so it is a restart."""
-        pattern = self.pattern
-        while q:
+        pattern, o = self.pattern, self.offset
+        while q != o:
             idx -= 1
             _, sp_c, _, spans_c = prev[image[idx]]
             if sp_c >> q & 1:   # a restart: the match begins in this child
                 parts[idx] = self._piece(
-                    ("tail", pattern[:q], image[idx], level - 1), 0)
-                return idx, q
+                    ("tail", pattern[:q - o], image[idx], level - 1), 0)
+                return idx, q - o
             p = self._first(image, prev, reach, idx,
                             _pred(spans_c, 1 << q) & reach[idx])
             parts[idx] = self._piece(
-                ("exact", pattern[p:q], image[idx], level - 1), p)
+                ("exact", pattern[p - o:q - o], image[idx], level - 1), p - o)
             q = p
         raise AssertionError("progress chain reached 0 without a restart")
 
@@ -595,7 +606,7 @@ class _Extractor:
         prev = self.history[level - 1]
         for image in self.sub.rule[letter]:
             for idx, c in enumerate(image):
-                if prev[c][0]:
+                if prev[c][0] & self.lane:
                     return image, idx, None
             found = self._straddle(image, prev, level)
             if found is not None:
@@ -609,15 +620,15 @@ class _Extractor:
         that spans the rest of the pattern exactly also holds q in its ps,
         so progress len(pattern) is never needed, and q is never 0: ps bit
         0 would be an occurrence in the child."""
-        pattern, memo = self.pattern, self.memo
-        reach = _reaches(image, prev, (1 << len(pattern)) - 1)
+        pattern, memo, o = self.pattern, self.memo, self.offset
+        reach = _reaches(image, prev, 1 << o, (1 << len(pattern)) - 1 << o)
         for idx, c in enumerate(image):
             hit = reach[idx] & prev[c][2]
             if hit:
                 q = self._first(image, prev, reach, idx, hit)
                 parts = [None] * len(image)
                 parts[idx] = self._piece(
-                    ("head", pattern[q:], c, level - 1), q)
+                    ("head", pattern[q - o:], c, level - 1), q - o)
                 begin, restart = self._back(image, prev, reach, idx, q, level,
                                             parts)
                 parts = self._spelled(image, level, parts)
@@ -732,11 +743,12 @@ def _shared_extraction(sub: RandomSubstitution):
     as without it (see `_Extractor`).  `search` on the yielded `_Block`
     decides a list of patterns in lane-parallel searches of bounded width,
     one lane per pattern; a later call with default keywords on one of
-    those patterns reads its lane instead of searching again.  A lane's
-    verdict, level, letter and history are those of a search of its
-    pattern alone (see the module docstring), so every answer is the same
-    as without the block.  Other threads, and calls on other
-    substitutions, keep a fresh memo and search per call."""
+    those patterns reads its lane, in place in the batch's packed levels,
+    instead of searching again.  A lane's verdict, level, letter and
+    history are those of a search of its pattern alone (see the module
+    docstring), so every answer is the same as without the block.  Other
+    threads, and calls on other substitutions, keep a fresh memo and
+    search per call."""
     token = _SHARED_MEMO.set(_Block(sub))
     try:
         yield _SHARED_MEMO.get()

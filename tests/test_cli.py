@@ -197,6 +197,32 @@ def test_semimix_check_custom_rules(tmp_path):
     assert code == 2 and "reason: invalid-input" in err  # seeds required
 
 
+def test_rules_take_no_family_flags(tmp_path):
+    # --rules names the substitution, so a family flag next to it was once
+    # dropped with exit 0; semimix check still reads --family for its seeds
+    rules = tmp_path / "rules.txt"
+    rules.write_text("a -> {ab, ba}\nb -> {a}\n", encoding="utf-8")
+    for argv, problem in [
+        (["subst", "show", "--family", "tribonacci", "--k", "5"],
+         "--family, --k"),
+        (["lang", "legal", "--m", "4", "bb"], "--m"),
+        (["subst", "apply", "--family", "fibonacci", "ab"], "--family"),
+        (["lang", "enum", "--k", "3", "--n", "2"], "--k"),
+        (["semimix", "check", "--m", "2", "--word", "ab", "--seeds", "ab,ba"],
+         "--m"),
+    ]:
+        code, out, err = run_cli([*argv[:2], "--rules", str(rules),
+                                  *argv[2:]])
+        assert (code, out) == (2, ""), argv
+        assert err == (f"error: --rules takes no {problem}\n"
+                       "reason: invalid-input\n"), argv
+    check = ["semimix", "check", "--rules", str(rules), "--word", "a",
+             "--horizon", "3"]
+    code, out, _ = run_cli([*check, "--family", "fibonacci"])
+    assert code == 0 and "seeds: ab ba" in out
+    assert run_cli([*check, "--seeds", "ab,ba"]) == (0, out, "")
+
+
 def test_lang_enum():
     code, out, _ = run_cli(["lang", "enum", "--family", "fibonacci", "--n", "2"])
     assert code == 0

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import is_legal_bruteforce
 
+from zeckmix import language
 from zeckmix.errors import GuardExceededError
 from zeckmix.language import (
     _Extractor,
@@ -436,6 +437,75 @@ def test_lanes_of_different_periods_finish():
 
 
 @given(rule=st.one_of(mixed_rules, st.sampled_from(BUILT_IN_RULES)),
+       data=st.data(), n_max=st.integers(min_value=0, max_value=8))
+@settings(max_examples=200, deadline=None)
+def test_batched_lane_witnesses_match_one_lane_witnesses(rule, data, n_max):
+    # gap patterns w ?^n s and wildcard patterns, shuffled so that lanes sit
+    # at every offset of a batch, searched by the block and extracted in
+    # place from its packed levels through one shared memo: every witness
+    # must be the one a fresh one-lane search and extraction gives
+    sub = make_substitution(rule)
+    letters = "".join(sub.alphabet)
+    words = language_of_length(sub, data.draw(st.integers(1, 3)))
+    assume(words)
+    w, s = data.draw(st.sampled_from(words)), data.draw(st.sampled_from(words))
+    patterns = data.draw(st.permutations(
+        [w + "?" * n + s for n in range(n_max + 1)]
+        + data.draw(st.lists(st.text(alphabet=letters + "?", min_size=1,
+                                     max_size=8), max_size=6))))
+    with _shared_extraction(sub) as block:
+        block.search(patterns)
+        assert set(block.searched) == set(patterns)
+        shared = [pattern_witness(sub, p) for p in patterns]
+    for pattern, got in zip(patterns, shared):
+        assert got == pattern_witness(sub, pattern), pattern
+
+
+def _gap_block(w, seeds, n_max):
+    """The gap patterns of a `check_empirical` call, in its order."""
+    return [w + "?" * n + s for n in range(n_max + 1) for s in seeds]
+
+
+@pytest.mark.parametrize("min_level, stop_letters", [
+    (0, None), (3, None), (0, ("b",)), (3, ("b",)), (0, ("a",))])
+@pytest.mark.parametrize("rule", BUILT_IN_RULES)
+def test_pattern_witness_keywords_inside_a_block(rule, min_level,
+                                                 stop_letters):
+    # keywords other than the defaults search the pattern alone, but share
+    # the block's memo, whose chunks the batched lanes built: the answers
+    # must be those of the same call outside any block
+    sub = make_substitution(rule)
+    patterns = _gap_block("a", ("ab", "ba"), 12) + ["b?a", "?", "a??b"]
+    calls = [dict(stop_letters=stop_letters, min_level=min_level), {}]
+    with _shared_extraction(sub) as block:
+        block.search(patterns)
+        inside = [pattern_witness(sub, p, **kw) for p in patterns for kw in calls]
+    outside = [pattern_witness(sub, p, **kw) for p in patterns for kw in calls]
+    assert inside == outside
+    assert any(outside)
+
+
+@pytest.mark.parametrize("rule, w", [(BUILT_IN_RULES[0], "a"),
+                                     (BUILT_IN_RULES[-1], "ab")])
+def test_extraction_projects_no_lane(monkeypatch, rule, w):
+    # extraction reads a batched lane in place: the extraction loop of a
+    # check_empirical-shaped block projects no level of any lane, while
+    # reading a lane's history level does
+    sub = make_substitution(rule)
+    patterns = _gap_block(w, ("ab",), 20)
+    projected = []
+    real = language._project
+    monkeypatch.setattr(language, "_project",
+                        lambda *args: projected.append(args) or real(*args))
+    with _shared_extraction(sub) as block:
+        block.search(patterns)
+        projected.clear()
+        hits = [pattern_witness(sub, p) for p in patterns]
+        assert all(hits) and projected == []
+        assert block.searched[patterns[-1]][3][0] and len(projected) == 1
+
+
+@given(rule=st.one_of(mixed_rules, st.sampled_from(BUILT_IN_RULES)),
        data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_profiles_hold_the_facts_extraction_relies_on(rule, data):
@@ -485,9 +555,12 @@ def test_extraction_walks_match_reference_walks(rule, data):
     # of tests/oracles.py, on every image at every level up to each lane's
     # stop: the progresses reached before each child under every limit, the
     # order of first reaching that `_first` reads off them, every back-walk
-    # from a reachable progress inside the pattern, and every plan
-    from oracles import back_chain, first_reached, walk_plan
-
+    # from a reachable progress inside the pattern, and every plan.  Each
+    # lane is walked twice: in place, on the batch's packed levels at the
+    # lane's bit offset o (o = 0 for a one-lane search), and on the levels
+    # projected out of it, at offset 0.  The references read the projected
+    # levels, so every in-place position is its reference position plus o,
+    # and no walk may leave a bit outside the lane
     sub = make_substitution(rule)
     letters = "".join(sub.alphabet)
     patterns = data.draw(st.lists(
@@ -496,46 +569,61 @@ def test_extraction_walks_match_reference_walks(rule, data):
     stop = data.draw(st.one_of(st.none(), st.lists(
         st.sampled_from(letters), min_size=1, unique=True)))
     lanes = _pattern_search(sub, patterns, stop, data.draw(st.integers(0, 3)))
+    images = {image for images in sub.rule.values() for image in images}
     for pattern, (_, last, _, history) in zip(patterns, lanes):
-        size = len(pattern)
-        extractor = _Extractor(sub, pattern, history, {})
-        images = {image for images in sub.rule.values() for image in images}
-        for level, image in itertools.product(range(1, last + 1), images):
-            prev, down = history[level - 1], level - 1
-            for limit in range(size + 1):
-                steps = first_reached(image, prev, limit)
-                reach = _reaches(image, prev, (2 << limit) - 1)
-                assert reach == [sum(1 << q for q in step) for step in steps]
-                for k, step in enumerate(steps):
-                    order = list(step)
-                    masks = [(reach[k], order[0])] + [
-                        (1 << x | 1 << y, x)
-                        for x, y in itertools.combinations(order, 2)]
-                    if k < len(image):
-                        hit = reach[k] & prev[image[k]][2]
-                        if hit:
-                            masks.append((hit, next(
-                                q for q in order if hit >> q & 1)))
-                    for mask, first in masks:
-                        assert extractor._first(image, prev, reach, k,
-                                                mask) == first
-                    for q in order:
-                        if not 0 < q < size:
-                            continue
-                        parts = [None] * len(image)
-                        got = extractor._back(image, prev, reach, k, q,
-                                              level, parts)
-                        expect, end = [None] * len(image), q
-                        for child, p in back_chain(steps, k, q):
-                            key = ("tail", pattern[:end]) if p is None else (
-                                "exact", pattern[p:end])
-                            expect[child] = (*key, image[child], down), p or 0
-                            restart, end = end, p
-                        assert parts == expect and got == (child, restart)
-            for i, j in itertools.combinations(range(size + 1), 2):
-                for heads in (False, True) if j == size else (False,):
-                    assert extractor._plan(image, i, j, prev, heads) == \
-                        walk_plan(image, i, j, prev, heads), (i, j, heads)
+        projected = [history[level] for level in range(last + 1)]
+        for extractor in (_Extractor(sub, pattern, history, {}),
+                          _Extractor(sub, pattern, projected, {})):
+            _check_walks(extractor, images, projected, last)
+
+
+def _check_walks(extractor, images, projected, last):
+    from oracles import back_chain, first_reached, walk_plan
+
+    pattern, o = extractor.pattern, extractor.offset
+    size = len(pattern)
+    for level, image in itertools.product(range(1, last + 1), images):
+        prev, down = projected[level - 1], level - 1
+        packed = extractor.history[level - 1]
+        for limit in range(size + 1):
+            steps = first_reached(image, prev, limit)
+            ref = [sum(1 << q for q in step) for step in steps]
+            reach = _reaches(image, packed, 1 << o, (2 << limit) - 1 << o)
+            assert reach == [bits << o for bits in ref]
+            for k, step in enumerate(steps):
+                order = list(step)
+                masks = [(ref[k], order[0])] + [
+                    (1 << x | 1 << y, x)
+                    for x, y in itertools.combinations(order, 2)]
+                if k < len(image):
+                    hit = ref[k] & prev[image[k]][2]
+                    if hit:
+                        masks.append((hit, next(
+                            q for q in order if hit >> q & 1)))
+                for mask, first in masks:
+                    assert extractor._first(image, packed, reach, k,
+                                            mask << o) == first + o
+                for q in order:
+                    if not 0 < q < size:
+                        continue
+                    parts = [None] * len(image)
+                    got = extractor._back(image, packed, reach, k, q + o,
+                                          level, parts)
+                    expect, end = [None] * len(image), q
+                    for child, p in back_chain(steps, k, q):
+                        key = ("tail", pattern[:end]) if p is None else (
+                            "exact", pattern[p:end])
+                        expect[child] = (*key, image[child], down), p or 0
+                        restart, end = end, p
+                    assert parts == expect and got == (child, restart)
+        for i, j in itertools.combinations(range(size + 1), 2):
+            for heads in (False, True) if j == size else (False,):
+                plan = extractor._plan(image, i + o, j + o, packed, heads)
+                if plan is not None:
+                    plan = [(q - o, end if end is None else end - o)
+                            for q, end in plan]
+                assert plan == walk_plan(image, i, j, prev, heads), \
+                    (i, j, heads)
 
 
 @given(rule=mixed_rules, n=st.integers(min_value=1, max_value=4))
