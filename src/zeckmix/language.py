@@ -425,9 +425,9 @@ class _Extractor:
     offsets are read back relative to the pattern.  Every shift of the
     kernel stays inside its lane (see the module docstring), so a walk
     started from lane bits reads only the bits a search of the pattern
-    alone computes.  The two reads that see other lanes, a child's `occurs`
-    in `_locate` and its ps in a `head` plan, are ANDed with `lane`, so an
-    extraction builds the same witness from a batch as from that search.
+    alone computes.  `_locate` reads a child's `occurs` whole, so it ANDs
+    it with `lane`, and a `head` plan does the same to the ps bits it adds
+    to `alive`; an extraction thus builds the same witness from either.
     """
 
     def __init__(self, sub, pattern, history, memo):
