@@ -378,8 +378,8 @@ class _Extractor:
     `occurrence` use `_back`, and `_spelled` spells every child that no walk
     claimed with the first image everywhere.
 
-    `exact`, `tail` and `head` chunks are memoised in `memo`, keyed by the
-    slice of the pattern that each answer depends on:
+    `exact`, `tail` and `head` chunks are memoised, keyed by the slice of
+    the pattern that each answer depends on:
 
       * exact(i, j, c, k) by ("exact", pattern[i:j], c, k)
       * tail(t, c, k)     by ("tail", pattern[:t], c, k)
@@ -400,18 +400,36 @@ class _Extractor:
     every pattern with that prefix, and `head` for every pattern with that
     suffix.  One key thus covers an all-'?' run wherever it sits, and the
     pieces w ?^k and ?^k s are shared by all gap patterns w ?^n s with the
-    same w or s.  The pattern-independent spellings live in the same dict,
-    keyed by (letter, level).
+    same w or s.  The pattern-independent spellings are keyed by (letter,
+    level).
 
-    A memo may therefore serve many patterns, but only of one substitution,
-    and it belongs to one call of a public operation (`pattern_witness`,
-    `is_legal`, or a whole `check_empirical` via `_shared_extraction`).
+    A memo may therefore serve many patterns, but only of one substitution.
+    The pieces split between two dicts by key.  `store` holds the
+    spellings and every chunk whose slice starts with '?'; `memo` holds
+    the rest, the chunks whose slice starts with a letter.  A call outside
+    a `_shared_extraction` block passes one fresh dict as both, which goes
+    with the call.  Inside a block on the substitution, `memo` is the
+    block's and goes with it, and `store` is the substitution's
+    `_extraction_store`, which outlives the call.  In a gap pattern
+    w ?^n s a slice that starts with '?' holds no letter of w, so no
+    source word enters the store: it holds the ?^j s heads, the ?^m runs
+    and the ?^j s[:x] pieces (j >= 1, x <= |s|).  Per child (letter,
+    level) that is at most |seeds| * n_max heads and, as an exact chunk
+    spans a whole element, at most lengths * (|seeds| * |s| + 1) exact
+    pieces, where n_max is the largest horizon `check_empirical` has
+    searched on the substitution, |seeds| the number of seed words it has
+    used, |s| their longest length and lengths the number of distinct
+    element lengths of (letter, level), one for a constant-length rule;
+    there, |seeds| * (n_max + |s| + 1) in all.  Threads that fill the
+    store at once agree, since each value is a function of its key alone
+    and dict stores are atomic; a thread sees a piece either whole or not
+    at all, and then builds it itself.
 
     No step takes a Python frame per level.  `_build` keeps the chunks
     still to be built on one explicit stack: a chunk is pushed as (key,
     offset), and once realised its frame becomes (key, parts), one part
-    per child, with the parts not in the memo yet pushed above it; it is
-    joined once they are built.  A chunk found in the memo costs its key
+    per child, with the parts not built yet pushed above it; it is
+    joined once they are built.  A chunk already built costs its key
     and one lookup, and allocates no frame.  `occurrence` descends its
     chain of occurring children in a loop.  The walks are methods, not
     closures, so an extraction leaves no reference cycle behind for the
@@ -430,17 +448,27 @@ class _Extractor:
     to `alive`; an extraction thus builds the same witness from either.
     """
 
-    def __init__(self, sub, pattern, history, memo):
-        self.sub, self.pattern, self.memo = sub, pattern, memo
+    def __init__(self, sub, pattern, history, memo, store):
+        self.sub, self.pattern = sub, pattern
+        self.memo, self.store = memo, store
         self.history = getattr(history, "packed", history)
         self.offset = getattr(history, "shift", 0)
         self.lane = (4 << len(pattern)) - 1 << self.offset
+
+    def _home(self, key):
+        """The dict that holds the chunk `key`: `store` if its slice starts
+        with '?', else `memo`."""
+        return self.store if key[1][0] == WILDCARD else self.memo
 
     def _piece(self, key, q):
         """The memoised element for the chunk `key` (never empty), or (key,
         q) if it is not built yet; q is the offset in the pattern where its
         slice starts."""
-        return self.memo.get(key) or (key, q)
+        return self._home(key).get(key) or (key, q)
+
+    def _element(self, part):
+        """A part's element: the part itself, or its built chunk's."""
+        return self._home(part[0])[part[0]] if type(part) is tuple else part
 
     def _spelled(self, image, level, parts):
         """`parts`, one per child of `image` at level - 1, with each None
@@ -448,24 +476,24 @@ class _Extractor:
         for k, part in enumerate(parts):
             if part is None:
                 parts[k] = spell_first(self.sub, image[k], level - 1,
-                                       self.memo)
+                                       self.store)
         return parts
 
     def _build(self, pieces):
-        """Put every (key, offset) chunk of the list `pieces` into the memo,
+        """Put every (key, offset) chunk of the list `pieces` into its dict,
         with the chunks one level down that each rests on.  The list is the
         stack of pending frames (see the class docstring), and is emptied."""
-        memo = self.memo
         stack = pieces
         while stack:
             key, arg = stack[-1]
+            home = self._home(key)
             if type(arg) is int:
-                if key in memo:     # built meanwhile below another parent
+                if key in home:     # built meanwhile below another parent
                     stack.pop()
                     continue
                 if not key[3]:
                     assert _matches(key[1], key[2])
-                    memo[key] = key[2]
+                    home[key] = key[2]
                     stack.pop()
                     continue
                 parts = self._realise(key, arg)
@@ -475,9 +503,8 @@ class _Extractor:
                     stack += pending
                     continue
             else:
-                parts = [memo[part[0]] if type(part) is tuple else part
-                         for part in arg]
-            memo[key] = "".join(parts)
+                parts = [self._element(part) for part in arg]
+            home[key] = "".join(parts)
             stack.pop()
 
     def _realise(self, key, i):
@@ -620,7 +647,7 @@ class _Extractor:
         that spans the rest of the pattern exactly also holds q in its ps,
         so progress len(pattern) is never needed, and q is never 0: ps bit
         0 would be an occurrence in the child."""
-        pattern, memo, o = self.pattern, self.memo, self.offset
+        pattern, o = self.pattern, self.offset
         reach = _reaches(image, prev, 1 << o, (1 << len(pattern)) - 1 << o)
         for idx, c in enumerate(image):
             hit = reach[idx] & prev[c][2]
@@ -633,8 +660,7 @@ class _Extractor:
                                             parts)
                 parts = self._spelled(image, level, parts)
                 self._build([part for part in parts if type(part) is tuple])
-                parts = [memo[part[0]] if type(part) is tuple else part
-                         for part in parts]
+                parts = [self._element(part) for part in parts]
                 start = sum(map(len, parts[:begin + 1])) - restart
                 return "".join(parts), start
         return None
@@ -684,7 +710,8 @@ def is_legal(sub: RandomSubstitution, u: str, want_witness: bool = True) -> Lega
         return LegalityVerdict(False, None, level, True)
     witness = None
     if want_witness:
-        extractor = _Extractor(sub, u, history, {})
+        memo = {}
+        extractor = _Extractor(sub, u, history, memo, memo)
         element, start = extractor.occurrence(letter, level)
         assert element[start:start + len(u)] == u
         witness = (level, letter, element)
@@ -700,8 +727,11 @@ def pattern_witness(sub: RandomSubstitution, pattern: str,
     if not found:
         return None
     shared = _SHARED_MEMO.get()
-    memo = shared.memo if shared is not None and shared.sub is sub else {}
-    extractor = _Extractor(sub, pattern, history, memo)
+    if shared is not None and shared.sub is sub:
+        memo, store = shared.memo, sub._extraction_store
+    else:
+        memo = store = {}
+    extractor = _Extractor(sub, pattern, history, memo, store)
     element, start = extractor.occurrence(letter, level)
     matched = element[start:start + len(pattern)]
     assert _matches(pattern, matched)
@@ -737,18 +767,19 @@ class _Block:
 @contextmanager
 def _shared_extraction(sub: RandomSubstitution):
     """A block in which `pattern_witness` and `is_legal` calls on `sub` made
-    by this thread share work, which is dropped when the block exits.
+    by this thread share work.
 
-    The witness extractions share one memo, and the witnesses are the same
-    as without it (see `_Extractor`).  `search` on the yielded `_Block`
-    decides a list of patterns in lane-parallel searches of bounded width,
-    one lane per pattern; a later call with default keywords on one of
-    those patterns reads its lane, in place in the batch's packed levels,
-    instead of searching again.  A lane's verdict, level, letter and
-    history are those of a search of its pattern alone (see the module
-    docstring), so every answer is the same as without the block.  Other
-    threads, and calls on other substitutions, keep a fresh memo and
-    search per call."""
+    The witness extractions share one memo, dropped when the block exits,
+    and read and fill `sub`'s extraction store, which is kept; the
+    witnesses are the same as without either (see `_Extractor`).  `search`
+    on the yielded `_Block` decides a list of patterns in lane-parallel
+    searches of bounded width, one lane per pattern; a later call with
+    default keywords on one of those patterns reads its lane, in place in
+    the batch's packed levels, instead of searching again.  A lane's
+    verdict, level, letter and history are those of a search of its
+    pattern alone (see the module docstring), so every answer is the same
+    as without the block.  Other threads, and calls on other
+    substitutions, keep a fresh memo and search per call."""
     token = _SHARED_MEMO.set(_Block(sub))
     try:
         yield _SHARED_MEMO.get()

@@ -181,10 +181,11 @@ def check_empirical(sub: RandomSubstitution, seeds: SeedSet, w: str,
         )
     if not seeds.proper:
         raise ValueError("seed set must be validated as a proper subset")
-    # the gap patterns share their w- and s-side pieces, so their witness
-    # extractions share one memo, owned by this call; the legality checks,
-    # the gap patterns of the first seed and the replays of the witnesses
-    # are each searched as one batch
+    # the gap patterns share their w- and s-side pieces: the w-side ones go
+    # in one memo, owned by this call, and the ones no source word enters
+    # in the substitution's extraction store, kept for later calls; the
+    # legality checks, the gap patterns of the first seed and the replays
+    # of the witnesses are each searched as one batch
     with _shared_extraction(sub) as block:
         block.search((*seeds.words, w))
         for s in seeds.words:
@@ -390,6 +391,18 @@ class VerificationOutcome(Record):
         return self.ok
 
 
+def _decide(sub, batch, stop) -> None:
+    """Decide the contexts of `batch` before position stop[0] in a block of
+    their own, lowering `stop` to the first illegal one; empties `batch`."""
+    with _shared_extraction(sub) as block:
+        block.search([context for pos, context in batch if pos < stop[0]])
+        for pos, context in batch:
+            if pos < stop[0] and not is_legal(
+                    sub, context, want_witness=False).legal:
+                stop[:] = pos, f"context {context!r} is not legal"
+    batch.clear()
+
+
 def verify_certificate(cert: Certificate, ns, deep: bool = True) -> VerificationOutcome:
     """Replay the certificate over the given gap lengths with an engine
     independent of the construction; returns a counterexample on failure.
@@ -475,26 +488,14 @@ def verify_certificate(cert: Certificate, ns, deep: bool = True) -> Verification
         if node[1] is None:
             node[1] = pos
 
+    # the trie walked depth first on a stack of (children left to visit,
+    # digit prefix, step, the path's first bookkeeping fault, whether a
+    # link on the path failed), one frame per step on the current path
     batch, size = [], 0   # the (position, context) pairs not decided yet
-
-    def decide():
-        """Decide the batch in a block of its own."""
-        nonlocal size
-        with _shared_extraction(sub) as block:
-            block.search([context for pos, context in batch if pos < stop[0]])
-            for pos, context in batch:
-                if pos < stop[0] and not is_legal(
-                        sub, context, want_witness=False).legal:
-                    stop[:] = pos, f"context {context!r} is not legal"
-        batch.clear()
-        size = 0
-
-    def walk(children, prefix, prev, fault, unlinked):
-        """Derive and check each child's step, then its subtree; `fault` is
-        the path's first bookkeeping fault, and `unlinked` whether a link
-        on it failed."""
-        nonlocal size
-        for digit, (below, pos, earliest) in children.items():
+    stack = [(iter(trie.items()), (), None, "", False)]
+    while stack:
+        children, prefix, prev, fault, unlinked = stack[-1]
+        for digit, (below, pos, earliest) in children:
             if earliest >= stop[0]:
                 continue
             digits = prefix + (digit,)
@@ -522,13 +523,15 @@ def verify_certificate(cert: Certificate, ns, deep: bool = True) -> Verification
                 else:
                     context = cert.source + cert.y + step.word + step.seed
                     if size + len(context) > _BATCH_CHARS:
-                        decide()
+                        _decide(sub, batch, stop)
+                        size = 0
                     batch.append((pos, context))
                     size += len(context)
-            walk(below, digits, step, here, cut)
-
-    walk(trie, (), None, "", False)
-    decide()
+            stack.append((iter(below.items()), digits, step, here, cut))
+            break
+        else:
+            stack.pop()
+    _decide(sub, batch, stop)
     pos, reason = stop
     if isinstance(reason, GuardExceededError):
         raise reason

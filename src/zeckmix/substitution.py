@@ -28,7 +28,9 @@ from .errors import (
 
 class RandomSubstitution(Record):
     """A validated rule; see `make_substitution`.  Unhashable, as its rule
-    is a dict; the `__dict__` slot holds only `first_images`."""
+    is a dict.  The `__dict__` slot holds two tables built on first use,
+    `first_images` and `_extraction_store`; neither is compared, pickled,
+    copied or carried over by `_replace`."""
 
     __slots__ = ("alphabet", "rule", "uniform_length", "abelian_compatible",
                  "__dict__")
@@ -47,6 +49,13 @@ class RandomSubstitution(Record):
         """{letter: first image}, the morphism that `spell_first` iterates
         and `in_image` trims by; built on first use."""
         return {a: images[0] for a, images in self.rule.items()}
+
+    @cached_property
+    def _extraction_store(self) -> dict:
+        """The witness pieces that no source word enters, kept for the
+        life of the substitution; `language._Extractor` fills it inside a
+        `_shared_extraction` block and says what it holds."""
+        return {}
 
     def __str__(self) -> str:
         return format_rules(self)

@@ -249,6 +249,20 @@ def test_semimix_certify_and_verify(tmp_path):
     assert code == 0 and "verified: true" in out
 
 
+def test_semimix_certify_reports_a_failed_verification(monkeypatch):
+    # certify builds sound certificates, so only a failing replay, injected
+    # here, reaches the counterexample lines of `semimix certify`
+    from zeckmix import semimixing
+
+    monkeypatch.setattr(semimixing, "verify_certificate", lambda cert, ns: (
+        semimixing.VerificationOutcome(False, 4, (7, "injected fault"))))
+    code, out, _ = run_cli(["semimix", "certify", "--family", "fibonacci",
+                            "--word", "a", "--verify-range", "10"])
+    assert code == 1
+    assert out.splitlines()[-2:] == ["verified: false checked=4",
+                                     "counterexample: n=7 injected fault"]
+
+
 def test_semimix_verify_counterexample(tmp_path):
     cert_path = tmp_path / "cert.txt"
     run_cli(["semimix", "certify", "--family", "fibonacci", "--word", "a",

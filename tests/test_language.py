@@ -1,6 +1,8 @@
+import copy
 import gc
 import hashlib
 import itertools
+import pickle
 import random
 
 import pytest
@@ -21,7 +23,7 @@ from zeckmix.language import (
     language_of_length,
     pattern_witness,
 )
-from zeckmix.semimixing import check_empirical, make_seed_set
+from zeckmix.semimixing import Family, check_empirical, make_seed_set, seed_sets
 from zeckmix.substitution import (
     build_dag,
     inflation_words,
@@ -30,6 +32,7 @@ from zeckmix.substitution import (
     random_kbonacci,
     random_metallic,
     random_tribonacci,
+    spell_first,
 )
 
 
@@ -506,6 +509,115 @@ def test_extraction_projects_no_lane(monkeypatch, rule, w):
 
 
 @given(rule=st.one_of(mixed_rules, st.sampled_from(BUILT_IN_RULES)),
+       data=st.data(), n_max=st.integers(min_value=0, max_value=8))
+@settings(max_examples=100, deadline=None)
+def test_warm_store_gives_fresh_witnesses(rule, data, n_max):
+    # check_empirical calls on one substitution, in shuffled source order,
+    # keep the pieces no source word enters in its store: every table, and
+    # every pattern_witness with other keywords inside a later block, must
+    # be the one an equal, fresh substitution gives
+    sub = make_substitution(rule)
+    seed_words = language_of_length(sub, data.draw(st.integers(1, 2)))
+    assume(len(seed_words) > 1)
+    seeds = make_seed_set(sub, data.draw(st.sets(
+        st.sampled_from(seed_words), min_size=1,
+        max_size=len(seed_words) - 1)))
+    words = [w for n in (1, 2, 3) for w in language_of_length(sub, n)]
+    sources = data.draw(st.permutations(words))[:6]
+    for w in sources:
+        table = check_empirical(sub, seeds, w, n_max)
+        assert table == check_empirical(make_substitution(rule), seeds, w,
+                                         n_max), w
+    patterns = [p for w in sources for p in _gap_block(w, seeds.words, n_max)]
+    calls = [{}, dict(min_level=3),
+             dict(stop_letters=(data.draw(st.sampled_from(sub.alphabet)),))]
+    with _shared_extraction(sub) as block:
+        block.search(patterns)
+        inside = [pattern_witness(sub, p, **kw) for p in patterns for kw in calls]
+    fresh = make_substitution(rule)
+    assert inside == [pattern_witness(fresh, p, **kw)
+                      for p in patterns for kw in calls]
+
+
+def _element_lengths(sub, level):
+    """{letter: the lengths of its level-`level` inflation words}."""
+    lengths = {a: {1} for a in sub.alphabet}
+    for _ in range(level):
+        nxt = {}
+        for a, images in sub.rule.items():
+            nxt[a] = set()
+            for image in images:
+                got = {0}
+                for c in image:
+                    got = {x + y for x in got for y in lengths[c]}
+                nxt[a] |= got
+        lengths = nxt
+    return lengths
+
+
+# (family or None for the custom rule, longest source word, horizon): the
+# inputs of a survey pass (scripts/semimixing_survey.py)
+_SURVEY = ((Family("fibonacci"), 3, 40), (Family("tribonacci"), 2, 30),
+           (Family("metallic", (2,)), 3, 30), (Family("kbonacci", (4,)), 2, 20),
+           (None, 2, 30))
+
+
+@pytest.mark.parametrize("family, max_len, horizon", _SURVEY, ids=[
+    family.label() if family else "custom" for family, _, _ in _SURVEY])
+def test_extraction_store_keeps_only_seed_side_pieces(family, max_len,
+                                                      horizon):
+    # a survey pass fills the store with spellings and chunks whose slice
+    # starts with '?' only, within the bound of `_Extractor`'s docstring;
+    # a second pass adds nothing, and calls outside a block leave it as is
+    if family is None:
+        sub = make_substitution(BUILT_IN_RULES[-1])
+        seeds = make_seed_set(sub, ("ab", "ba"))
+    else:
+        sub = family.substitution()
+        seeds = seed_sets(family, sub)
+    sources = [w for n in range(1, max_len + 1)
+               for w in language_of_length(sub, n)]
+    is_legal(sub, sources[-1])
+    pattern_witness(sub, sources[-1] + "??" + seeds.words[0])
+    assert "_extraction_store" not in vars(sub)
+    for w in sources:
+        check_empirical(sub, seeds, w, horizon)
+    store = sub._extraction_store
+    kept = dict(store)
+    for w in sources:
+        check_empirical(sub, seeds, w, horizon)
+    assert store == kept
+    per_node = {}
+    for key, element in store.items():
+        if len(key) == 2:           # a spelling
+            letter, level = key
+            assert element == spell_first(sub, letter, level, {})
+        else:
+            mode, text, letter, level = key
+            assert mode in ("exact", "head") and text[0] == "?", key
+            per_node.setdefault((letter, level), []).append(key)
+    size = max(map(len, seeds.words))
+    for (letter, level), keys in per_node.items():
+        lengths = len(_element_lengths(sub, level)[letter])
+        heads = sum(key[0] == "head" for key in keys)
+        assert heads <= len(seeds.words) * horizon
+        assert len(keys) - heads <= lengths * (len(seeds.words) * size + 1)
+        if sub.uniform_length:
+            assert len(keys) <= len(seeds.words) * (horizon + size + 1)
+    for w in sources:
+        is_legal(sub, w + seeds.words[0])
+        pattern_witness(sub, w + "?" * horizon + seeds.words[-1])
+    with _shared_extraction(random_fibonacci()):
+        pattern_witness(sub, sources[0] + "?" * 3 + seeds.words[0])
+    assert store == kept
+    # a copy, an unpickled one and `_replace` each build a new record, whose
+    # store starts cold
+    for other in (copy.copy(sub), pickle.loads(pickle.dumps(sub)),
+                  sub._replace(rule=dict(sub.rule))):
+        assert other == sub and "_extraction_store" not in vars(other)
+
+
+@given(rule=st.one_of(mixed_rules, st.sampled_from(BUILT_IN_RULES)),
        data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_profiles_hold_the_facts_extraction_relies_on(rule, data):
@@ -572,8 +684,8 @@ def test_extraction_walks_match_reference_walks(rule, data):
     images = {image for images in sub.rule.values() for image in images}
     for pattern, (_, last, _, history) in zip(patterns, lanes):
         projected = [history[level] for level in range(last + 1)]
-        for extractor in (_Extractor(sub, pattern, history, {}),
-                          _Extractor(sub, pattern, projected, {})):
+        for lane, memo in ((history, {}), (projected, {})):
+            extractor = _Extractor(sub, pattern, lane, memo, memo)
             _check_walks(extractor, images, projected, last)
 
 

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import sys
 import threading
@@ -121,27 +122,35 @@ def test_check_empirical_keyword_edges():
         check_empirical(fib, unvalidated, "a", 3)
 
 
-def test_check_empirical_shared_across_threads():
-    # one substitution, seed set and certificate per job, used by every
-    # thread at once: each call's extraction memo and batch table are its
-    # own and are dropped when the call returns, and every outcome is the
-    # one a serial run gives
-    custom = make_substitution(
-        {"a": ("ab", "ba"), "b": ("ac", "ca"), "c": ("a", "aa")})
-    fib = random_fibonacci()
+def _thread_jobs(fib, custom):
+    """The jobs every thread runs, on the given substitutions."""
     cert = certify(fib, FIB, "ab")
     bad = corrupt_step(cert, "ab", 0, "abb")
     deep_ns = range(cert.threshold, cert.threshold + 40)
-    jobs = [
+    return [
         lambda: check_empirical(fib, seed_sets(FIB, fib), "a", 40).to_report(),
         lambda: check_empirical(
             custom, make_seed_set(custom, ("ab", "ba")), "ab", 12).to_report(),
         lambda: verify_certificate(cert, deep_ns, deep=True),
         lambda: verify_certificate(bad, range(bad.threshold, bad.threshold + 8)),
     ]
-    serial = [job() for job in jobs]
+
+
+def test_check_empirical_shared_across_threads():
+    # one substitution, seed set and certificate per job, used by every
+    # thread at once: each call's extraction memo and batch table are its
+    # own and are dropped when the call returns, while the threads race to
+    # fill each substitution's cold extraction store.  Every outcome, and
+    # each store, must be the one a serial run on equal but separate
+    # substitutions gives
+    custom_rule = {"a": ("ab", "ba"), "b": ("ac", "ca"), "c": ("a", "aa")}
+    serial_subs = random_fibonacci(), make_substitution(custom_rule)
+    serial = [job() for job in _thread_jobs(*serial_subs)]
     assert serial[2].ok and serial[2].checked == 40
     assert not serial[3].ok
+    subs = random_fibonacci(), make_substitution(custom_rule)
+    jobs = _thread_jobs(*subs)
+    assert not any("_extraction_store" in vars(sub) for sub in subs)
     n_threads = 4
     start = threading.Barrier(n_threads, timeout=60)
     outcomes = [None] * n_threads
@@ -174,6 +183,37 @@ def test_check_empirical_shared_across_threads():
     assert errors == []
     for k, got in enumerate(outcomes):
         assert got == serial[k:] + serial[:k], k
+    for sub, alone in zip(subs, serial_subs):
+        assert sub._extraction_store == alone._extraction_store
+
+
+def _replay_calls():
+    cert = certify(random_fibonacci(), FIB, "a")
+    span = range(cert.threshold, cert.threshold + 30)
+    bad = cert._replace(letter_images={"a": "ab"})
+    return {
+        "deep": lambda: verify_certificate(cert, span),
+        "shallow": lambda: verify_certificate(cert, span, deep=False),
+        "corrupted deep": lambda: verify_certificate(bad, span),
+        "corrupted shallow": lambda: verify_certificate(bad, span, deep=False),
+    }
+
+
+@pytest.mark.parametrize("name", list(_replay_calls()))
+def test_verify_certificate_leaves_no_cyclic_garbage(name):
+    # the replay walks the trie on an explicit stack, not a self-referencing
+    # closure, so a call, passing or failing inside the walk, leaves
+    # nothing that only the cyclic collector can free
+    call = _replay_calls()[name]
+    gc.collect()
+    gc.disable()
+    try:
+        outcome = call()
+        assert outcome.ok != name.startswith("corrupted")
+        assert outcome.checked == (2 if name.startswith("corrupted") else 30)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _digits(cert, n):
@@ -743,6 +783,23 @@ def test_fault_injection_detected():
     # swapping in the other valid image with a valid follower stays sound
     benign = corrupt_step(cert, "ab", 0, "baa")  # follower "ba" is a seed
     assert verify_certificate(benign, range(benign.threshold, benign.threshold + 5)).ok
+
+
+@pytest.mark.parametrize("deep", [True, False])
+@pytest.mark.parametrize("lead, expected", [
+    (1, (False, 0, (7, "derivation failed: no base-case entry for leading digit 1"))),
+    (2, (False, 1, (8, "derivation failed: no base-case entry for leading digit 2")))])
+def test_missing_base_entry_fails_the_derivation(deep, lead, expected):
+    # a leading digit the base table lacks stops the first derivation that
+    # starts with it; an outcome is true exactly when it is ok
+    cert = certify(random_metallic(2), MET2, "a")
+    assert bool(verify_certificate(cert, range(cert.threshold, cert.threshold + 5)))
+    bad = cert._replace(base_table={
+        digit: entry for digit, entry in cert.base_table.items() if digit != lead})
+    outcome = verify_certificate(
+        bad, range(bad.threshold, bad.threshold + 30), deep=deep)
+    assert (outcome.ok, outcome.checked, outcome.counterexample) == expected
+    assert not outcome
 
 
 @pytest.mark.parametrize("deep", [True, False])
