@@ -439,12 +439,11 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except tuple(exc for exc, _ in _REASONS) as err:
-        for exc_type, reason in _REASONS:
-            if isinstance(err, exc_type):
-                print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
-                print(f"reason: {reason}", file=sys.stderr)
-                return 2
-        raise
+        reason = next(reason for exc_type, reason in _REASONS
+                      if isinstance(err, exc_type))
+        print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
+        print(f"reason: {reason}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -48,13 +48,33 @@ class Record:
 
     A subclass lists its slots, its constructor fields `_fields` in order
     (shown by repr, and passed back to __init__ by pickle, copy and
-    `_replace`) and the fields `_compared` that equality and hashing read;
-    its __init__ validates and stores each field with `_setattr`.
-    Assigning or deleting any attribute raises AttributeError.
+    `_replace`) and the fields `_compared` that equality and hashing read.
+    The shared __init__ stores the fields as given; a subclass that
+    validates, sets more state or is built in a hot loop has its own,
+    which stores each field with `_setattr`.  Assigning or deleting any
+    attribute raises AttributeError.
     """
 
     __slots__ = ()
     _fields = _compared = ()
+
+    def __init__(self, *args, **kwargs):
+        """Store `_fields` from the positional, then the keyword arguments;
+        a missing, duplicate or unknown name raises TypeError."""
+        names = self._fields
+        if len(args) > len(names):
+            raise TypeError(f"{type(self).__qualname__} takes {len(names)} "
+                            f"fields, got {len(args)}")
+        for name, value in zip(names, args):
+            if name in kwargs:
+                raise TypeError(f"field {name!r} given twice")
+            kwargs[name] = value
+        for name in names:
+            if name not in kwargs:
+                raise TypeError(f"missing field {name!r}")
+            _setattr(self, name, kwargs.pop(name))
+        if kwargs:
+            raise TypeError(f"unknown field {min(kwargs)!r}")
 
     def _values(self, names) -> tuple:
         return tuple([getattr(self, name) for name in names])

@@ -46,6 +46,9 @@ Patterns may contain '?' wildcards (each matching any single letter); the
 same machinery then decides whether any concrete completion of the pattern
 is legal, and a witness occurrence is reconstructed from the profiles.
 
+`language_of_length` runs on the same kernel, one letter at a time: the
+language is factor-closed, so a word w c is legal only if w and w[1:] c are.
+
 The empty word is treated as legal by convention; it never appears in
 reported languages.
 """
@@ -789,73 +792,27 @@ def _shared_extraction(sub: RandomSubstitution):
 
 def language_of_length(sub: RandomSubstitution, n: int,
                        guard: int = DEFAULT_SET_GUARD) -> tuple[str, ...]:
-    """All legal words of length n, sorted; exact via bounded-set propagation."""
+    """All legal words of length n, sorted.
+
+    From the alphabet up, each length keeps the candidates w c with w and
+    w[1:] c legal, decides them with `_Block.search` and keeps those whose
+    lane fired.  A candidate that needs more than _LEVEL_SAFETY_CAP levels
+    raises the level-cap GuardExceededError, as `is_legal` does on that
+    word.  More than `guard` words of length n >= 2 raise
+    GuardExceededError; shorter lengths are not guarded, and n = 1 gives
+    the letters whatever the guard.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n == 1:      # each letter is its own level-0 inflation word
-        return tuple(sorted(sub.alphabet))
-    # every length-n factor of an element straddles a child boundary at
-    # some level (a single letter holds none), and the straddles at level
-    # k + 1 are a function of the (prefix, suffix) state at level k: once
-    # that state repeats, every factor has been found
-    cut = n - 1
-    state = {a: (frozenset({a}), frozenset({a})) for a in sub.alphabet}
-    found: set[str] = set()
-    seen_states = {tuple(sorted(state.items()))}
-    while True:
-        pref_by_len = {}
-        for a in sub.alphabet:
-            per = {}
-            for j in range(1, n):
-                per[j] = frozenset(p[:j] for p in state[a][0] if len(p) >= j)
-            pref_by_len[a] = per
-        new_state = {}
-        for a in sub.alphabet:
-            pref_a, suff_a = set(), set()
-            for image in sub.rule[a]:
-                boundary = {""}
-                for c in image:
-                    tails_by_len: dict[int, set[str]] = {}
-                    for b in boundary:
-                        for t in range(1, len(b) + 1):
-                            tails_by_len.setdefault(t, set()).add(b[-t:])
-                    for t, tails in tails_by_len.items():
-                        for left in tails:
-                            for right in pref_by_len[c][n - t]:
-                                found.add(left + right)
-                    new_boundary = set()
-                    for s in state[c][1]:
-                        if len(s) == cut:
-                            new_boundary.add(s)
-                        else:
-                            for b in boundary:
-                                joined = b + s
-                                new_boundary.add(
-                                    joined[-cut:] if len(joined) > cut else joined
-                                )
-                    boundary = new_boundary
-                suff_a |= boundary
-                forward = {""}
-                for c in image:
-                    new_forward = set()
-                    for f in forward:
-                        if len(f) == cut:
-                            new_forward.add(f)
-                        else:
-                            for p in state[c][0]:
-                                joined = f + p
-                                new_forward.add(
-                                    joined[:cut] if len(joined) > cut else joined
-                                )
-                    forward = new_forward
-                pref_a |= forward
-            new_state[a] = (frozenset(pref_a), frozenset(suff_a))
-            if len(found) > guard:
-                raise GuardExceededError(
-                    f"language_of_length exceeds the {guard}-word guard"
-                )
-        state = new_state
-        key = tuple(sorted(state.items()))
-        if key in seen_states:
-            return tuple(sorted(found))
-        seen_states.add(key)
+    words = letters = sorted(sub.alphabet)
+    for _ in range(n - 1):
+        legal = set(words)
+        candidates = [w + c for w in words for c in letters
+                      if w[1:] + c in legal]
+        block = _Block(sub)
+        block.search(candidates)
+        words = [w for w in candidates if block.searched[w][0]]
+    if n > 1 and len(words) > guard:
+        raise GuardExceededError(
+            f"language_of_length exceeds the {guard}-word guard")
+    return tuple(words)

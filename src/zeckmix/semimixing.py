@@ -90,11 +90,6 @@ def parse_family(text: str) -> Family:
 class SeedSet(Record):
     __slots__ = _fields = _compared = ("words", "length", "proper")
 
-    def __init__(self, words: tuple[str, ...], length: int, proper: bool):
-        _setattr(self, "words", words)
-        _setattr(self, "length", length)
-        _setattr(self, "proper", proper)
-
 
 def make_seed_set(sub: RandomSubstitution, words) -> SeedSet:
     """Validate seed words: non-empty, equal length, legal, and a proper
@@ -141,14 +136,6 @@ class WitnessEntry(Record):
 class WitnessTable(Record):
     __slots__ = _fields = _compared = ("source", "horizon", "seeds", "entries",
                                        "threshold")
-
-    def __init__(self, source: str, horizon: int, seeds: tuple[str, ...],
-                 entries: tuple[WitnessEntry | None, ...], threshold: int | None):
-        _setattr(self, "source", source)
-        _setattr(self, "horizon", horizon)
-        _setattr(self, "seeds", seeds)
-        _setattr(self, "entries", entries)
-        _setattr(self, "threshold", threshold)
 
     def to_report(self) -> str:
         lines = [
@@ -255,27 +242,6 @@ class Certificate(Record):
         "threshold", "seeds", "seed_length", "letter_images", "base_table",
         "step_table")
     _compared = _fields[:11]
-
-    def __init__(self, family: Family, source: str, level: int, w_prime: str,
-                 x: str, y: str, lead_position: int, n0: int, threshold: int,
-                 seeds: tuple[str, ...], seed_length: int,
-                 letter_images: dict[str, str],
-                 base_table: dict[int, tuple[str, str, str]],
-                 step_table: dict[tuple[str, int], str]):
-        _setattr(self, "family", family)
-        _setattr(self, "source", source)
-        _setattr(self, "level", level)
-        _setattr(self, "w_prime", w_prime)
-        _setattr(self, "x", x)
-        _setattr(self, "y", y)
-        _setattr(self, "lead_position", lead_position)
-        _setattr(self, "n0", n0)
-        _setattr(self, "threshold", threshold)
-        _setattr(self, "seeds", seeds)
-        _setattr(self, "seed_length", seed_length)
-        _setattr(self, "letter_images", letter_images)
-        _setattr(self, "base_table", base_table)
-        _setattr(self, "step_table", step_table)
 
 
 def certify(sub: RandomSubstitution, family: Family, w: str) -> Certificate:
@@ -534,7 +500,10 @@ def verify_certificate(cert: Certificate, ns, deep: bool = True) -> Verification
     _decide(sub, batch, stop)
     pos, reason = stop
     if isinstance(reason, GuardExceededError):
-        raise reason
+        try:
+            raise reason
+        finally:    # the traceback holds this frame: break the cycle
+            del stop, reason
     if reason is not None:
         return fail(order[pos], reason, pos)
     return VerificationOutcome(True, len(order), None)

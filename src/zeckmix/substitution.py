@@ -37,13 +37,6 @@ class RandomSubstitution(Record):
     _fields = _compared = __slots__[:4]
     __hash__ = None
 
-    def __init__(self, alphabet: tuple[str, ...], rule: dict[str, tuple[str, ...]],
-                 uniform_length: bool, abelian_compatible: bool):
-        _setattr(self, "alphabet", alphabet)
-        _setattr(self, "rule", rule)
-        _setattr(self, "uniform_length", uniform_length)
-        _setattr(self, "abelian_compatible", abelian_compatible)
-
     @cached_property
     def first_images(self) -> dict[str, str]:
         """{letter: first image}, the morphism that `spell_first` iterates

@@ -146,6 +146,14 @@ def test_language_of_length_examples():
     assert language_of_length(fib, 12, guard=851) == words
     with pytest.raises(GuardExceededError, match="850-word guard"):
         language_of_length(fib, 12, guard=850)
+    # only the length asked for is guarded: this language has 4 words of
+    # length 2 and none of length 3
+    dying = make_substitution({"a": ["bb", "bc", "cb", "cc"], "b": ["b"],
+                               "c": ["c"]})
+    assert len(language_of_length(dying, 2)) == 4
+    assert language_of_length(dying, 3, guard=2) == ()
+    with pytest.raises(GuardExceededError, match="3-word guard"):
+        language_of_length(dying, 2, guard=3)
 
 
 @pytest.mark.parametrize("sub,levels", [
@@ -742,14 +750,18 @@ def _check_walks(extractor, images, projected, last):
 @settings(max_examples=150, deadline=None)
 def test_language_matches_per_word_legality_mixed_rules(rule, n):
     # rules with images of different lengths, not necessarily primitive:
-    # the (prefix, suffix) state must not repeat before every factor is found
+    # the one-letter extensions must find every legal word, checked against
+    # per-word legality and against the window closure, which shares no
+    # code with the profile kernel
     sub = make_substitution(rule)
     alphabet = "".join(sub.alphabet)
     expect = tuple(sorted(
         word for word in map("".join, itertools.product(alphabet, repeat=n))
         if is_legal(sub, word, want_witness=False).legal
     ))
-    assert language_of_length(sub, n) == expect
+    got = language_of_length(sub, n)
+    assert got == expect
+    assert set(got) == closure_language(sub, n)
 
 
 @given(st.text(alphabet="ab", min_size=1, max_size=7))

@@ -79,6 +79,20 @@ def test_make_seed_set_rejects_illegal():
         make_seed_set(trib, ["ccc"])
 
 
+def test_record_init_takes_each_field_once():
+    # SeedSet has the shared Record.__init__: positional, then keyword
+    seeds = seed_sets(FIB)
+    assert SeedSet(("ab", "ba"), proper=True, length=2) == seeds
+    assert SeedSet(words=("ab", "ba"), length=2, proper=True) == seeds
+    for args, kwargs, message in (
+            ((("ab", "ba"), 2), {}, "missing field 'proper'"),
+            ((("ab", "ba"), 2, True), {"length": 2}, "'length' given twice"),
+            ((("ab", "ba"), 2, True), {"size": 2}, "unknown field 'size'"),
+            ((("ab", "ba"), 2, True, None), {}, "takes 3 fields, got 4")):
+        with pytest.raises(TypeError, match=message):
+            SeedSet(*args, **kwargs)
+
+
 def test_check_empirical_fibonacci_source_a():
     fib = random_fibonacci()
     table = check_empirical(fib, seed_sets(FIB), "a", 20)
@@ -196,21 +210,26 @@ def _replay_calls():
         "shallow": lambda: verify_certificate(cert, span, deep=False),
         "corrupted deep": lambda: verify_certificate(bad, span),
         "corrupted shallow": lambda: verify_certificate(bad, span, deep=False),
+        "guard": lambda: verify_certificate(cert, [cert.threshold, 10**7]),
     }
 
 
 @pytest.mark.parametrize("name", list(_replay_calls()))
 def test_verify_certificate_leaves_no_cyclic_garbage(name):
     # the replay walks the trie on an explicit stack, not a self-referencing
-    # closure, so a call, passing or failing inside the walk, leaves
-    # nothing that only the cyclic collector can free
+    # closure, so a call, passing, failing inside the walk or raising on a
+    # guard, leaves nothing that only the cyclic collector can free
     call = _replay_calls()[name]
     gc.collect()
     gc.disable()
     try:
-        outcome = call()
-        assert outcome.ok != name.startswith("corrupted")
-        assert outcome.checked == (2 if name.startswith("corrupted") else 30)
+        if name == "guard":
+            with pytest.raises(GuardExceededError):
+                call()
+        else:
+            outcome = call()
+            assert outcome.ok != name.startswith("corrupted")
+            assert outcome.checked == (2 if name.startswith("corrupted") else 30)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -304,7 +323,11 @@ def test_verify_certificate_one_context_per_batch(monkeypatch):
     # with a batch bound below every context's length, each context closes
     # its own batch and is decided in a block of its own; the outcomes stay
     # those of checking each n alone, so the contexts pending before a
-    # failing derivation are decided before it is reported
+    # failing derivation are decided before it is reported.  The
+    # certificates are built before the counter goes in: their source
+    # words come from language_of_length, which searches in batches
+    certs = [cert for family in _REPLAY_FAMILIES[:3]
+             for cert in _replay_certificates(family)[1][:2]]
     lanes = []
     real = language._pattern_search
 
@@ -314,14 +337,13 @@ def test_verify_certificate_one_context_per_batch(monkeypatch):
 
     monkeypatch.setattr(semimixing, "_BATCH_CHARS", 1)
     monkeypatch.setattr(language, "_pattern_search", counting)
-    for family in _REPLAY_FAMILIES[:3]:
-        for cert in _replay_certificates(family)[1][:2]:
-            t = cert.threshold
-            for ns, deep in ((range(t, t + 12), True),
-                             ([t + 3, t + 1, t + 3, t - 1, t + 2], False)):
-                outcome = verify_certificate(cert, ns, deep=deep)
-                assert (outcome.ok, outcome.checked, outcome.counterexample) \
-                    == replay_each(cert, ns, deep)
+    for cert in certs:
+        t = cert.threshold
+        for ns, deep in ((range(t, t + 12), True),
+                         ([t + 3, t + 1, t + 3, t - 1, t + 2], False)):
+            outcome = verify_certificate(cert, ns, deep=deep)
+            assert (outcome.ok, outcome.checked, outcome.counterexample) \
+                == replay_each(cert, ns, deep)
     test_verify_certificate_reports_failures_in_order(monkeypatch)
     assert lanes and set(lanes) == {1}
 
